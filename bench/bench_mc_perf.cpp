@@ -475,6 +475,38 @@ void BM_PackUnpack(benchmark::State& state) {
 }
 BENCHMARK(BM_PackUnpack);
 
+void BM_Recoverability(benchmark::State& state) {
+  // The E1 grid's small_shifting/oos1/no-reinit recoverability row on the
+  // serial engine: forward pass with CSR edge recording plus the backward
+  // closure, over the 110,956-state E1 space.
+  auto cfg = config(guardian::Authority::kSmallShifting);
+  cfg.max_out_of_slot_errors = 1;
+  cfg.protocol.allow_reinit = false;
+  mc::TtpcStarModel model(cfg);
+  const std::size_t n = model.num_nodes();
+  auto all_active = [n](const mc::WorldState& w) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (w.nodes[i].state != ttpc::CtrlState::kActive) return false;
+    }
+    return true;
+  };
+  std::uint64_t states = 0;
+  for (auto _ : state) {
+    auto res = mc::Checker(model).check_recoverability(all_active);
+    if (res.stats.states_explored != 110'956 ||
+        res.stats.transitions != 875'440 || res.dead_states != 0 ||
+        res.verdict != mc::Verdict::kHolds) {
+      state.SkipWithError("recoverability pin moved");
+      return;
+    }
+    states = res.stats.states_explored;
+  }
+  state.counters["states/s"] = benchmark::Counter(
+      static_cast<double>(states * state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Recoverability)->Unit(benchmark::kMillisecond);
+
 void BM_StateSpaceByClusterSize(benchmark::State& state) {
   auto n = static_cast<std::uint8_t>(state.range(0));
   auto cfg = config(guardian::Authority::kPassive, n);

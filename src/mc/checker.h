@@ -41,9 +41,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -190,9 +188,27 @@ struct BfsNode {
 };
 static_assert(sizeof(BfsNode) == 12, "BfsNode rides in every table slot");
 
-struct BfsEdge {
-  std::uint32_t from = 0;
-  std::uint32_t to = 0;
+/// The transition graph a recoverability forward pass records, in CSR
+/// form (compressed sparse rows). Row r is the r-th expanded state in BFS
+/// order, rows[r] its table slot, and its successors' slots are
+/// targets[offsets[r] .. offsets[r + 1]) — one 4-byte slot per transition.
+/// Rows are appended a level at a time, so their depths never decrease.
+struct BfsGraph {
+  std::vector<std::uint32_t> rows;
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<std::uint32_t> targets;
+
+  /// Closes the current row after its targets were appended.
+  void end_row() {
+    TTA_CHECK(targets.size() < UINT32_MAX);
+    offsets.push_back(static_cast<std::uint32_t>(targets.size()));
+  }
+
+  /// Rewrites every slot index after a table rebuild.
+  void remap(const std::vector<std::uint32_t>& slot_map) {
+    for (std::uint32_t& s : rows) s = slot_map[s];
+    for (std::uint32_t& s : targets) s = slot_map[s];
+  }
 };
 
 /// The model's significant packed width, for key quotienting; models that
@@ -227,6 +243,70 @@ std::vector<TraceStepT<typename Model::State>> reconstruct_trace(
     steps.push_back(step);
   }
   return steps;
+}
+
+/// AG EF verdict from a complete forward graph: the backward closure from
+/// the goal-tagged states over the reversed edges, the dead-state count,
+/// and the shortest witness into the dead region. One function serves both
+/// engines. The witness ends at the first dead row, which has minimal depth
+/// because rows are in BFS order. `result->stats` must already hold the
+/// forward pass's statistics; an incomplete pass (budget or cancellation)
+/// withholds the verdict.
+template <class Model, class Table>
+void close_recoverability(
+    const Model& model, const Table& table, const BfsGraph& graph,
+    RecoverabilityResultT<typename Model::State>* result) {
+  result->dead_states = 0;
+  result->recoverable_everywhere = false;
+  if (!result->stats.exhausted) {
+    result->verdict = Verdict::kInconclusive;
+    return;
+  }
+
+  // Reverse CSR over slots: preds[bucket[t] .. bucket[t + 1]) lists t's
+  // predecessors. A counting sort, filled back to front so the counts
+  // become the bucket starts without a second cursor array.
+  const std::size_t cap = table.capacity();
+  std::vector<std::uint32_t> bucket(cap + 1, 0);
+  for (std::uint32_t t : graph.targets) ++bucket[t];
+  for (std::size_t s = 1; s < cap; ++s) bucket[s] += bucket[s - 1];
+  bucket[cap] = static_cast<std::uint32_t>(graph.targets.size());
+  std::vector<std::uint32_t> preds(graph.targets.size());
+  for (std::size_t r = 0; r < graph.rows.size(); ++r) {
+    for (std::uint32_t e = graph.offsets[r]; e < graph.offsets[r + 1]; ++e) {
+      preds[--bucket[graph.targets[e]]] = graph.rows[r];
+    }
+  }
+
+  std::vector<std::uint8_t> can_recover(cap, 0);
+  std::vector<std::uint32_t> queue;
+  for (std::uint32_t s : graph.rows) {
+    if (table.value_at(s).flags & kBfsGoalFlag) {
+      can_recover[s] = 1;
+      queue.push_back(s);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t cur = queue[head];
+    for (std::uint32_t e = bucket[cur]; e < bucket[cur + 1]; ++e) {
+      if (!can_recover[preds[e]]) {
+        can_recover[preds[e]] = 1;
+        queue.push_back(preds[e]);
+      }
+    }
+  }
+
+  std::uint32_t witness_slot = Table::kNoSlot;
+  for (std::uint32_t s : graph.rows) {
+    if (can_recover[s]) continue;
+    if (result->dead_states++ == 0) witness_slot = s;
+  }
+  result->recoverable_everywhere = result->dead_states == 0;
+  result->verdict = result->recoverable_everywhere ? Verdict::kHolds
+                                                   : Verdict::kViolated;
+  if (!result->recoverable_everywhere) {
+    result->witness = reconstruct_trace(model, table, witness_slot);
+  }
 }
 
 /// Grows `table` so `needed` entries fit under max_load(), dropping
@@ -395,7 +475,8 @@ class Checker {
                             const util::CancelToken* cancel = nullptr,
                             const CheckpointConfig* checkpoint =
                                 nullptr) const {
-    return run(&violation, nullptr, max_states, cancel, checkpoint);
+    Table table(initial_capacity_, detail::packed_key_bits(*model_));
+    return run(table, &violation, nullptr, max_states, cancel, checkpoint);
   }
 
   /// Shortest witness to a goal state; holds() == true means unreachable.
@@ -404,148 +485,29 @@ class Checker {
                                  const util::CancelToken* cancel = nullptr,
                                  const CheckpointConfig* checkpoint =
                                      nullptr) const {
-    return run(nullptr, &goal, max_states, cancel, checkpoint);
+    Table table(initial_capacity_, detail::packed_key_bits(*model_));
+    return run(table, nullptr, &goal, max_states, cancel, checkpoint);
   }
 
   /// AG EF goal — an availability property stronger than the safety check:
   /// from *every* reachable state there must still exist a path to a goal
   /// state. Computed as a forward exploration of the full reachable graph
-  /// followed by a backward closure from the goal states; a state outside
-  /// the closure is "dead" (the system can no longer recover from it).
-  /// (Serial recoverability keys its index on full packed states — the
-  /// table backend policy applies to check()/find_state().)
+  /// (the same run() as check(), recording CSR edges and tagging goal
+  /// states in the table) followed by detail::close_recoverability, the
+  /// backward closure from the goal states; a state outside the closure is
+  /// "dead" (the system can no longer recover from it). The table backend
+  /// policy applies here as it does to check()/find_state().
   RecoverabilityResultT<State> check_recoverability(
       const Goal& goal, std::uint64_t max_states = 10'000'000,
       const util::CancelToken* cancel = nullptr) const {
     const auto t0 = std::chrono::steady_clock::now();
     RecoverabilityResultT<State> result;
-
-    // Forward pass: enumerate the reachable graph.
-    std::unordered_map<util::PackedState, std::uint32_t> index;
-    std::vector<util::PackedState> states;
-    std::vector<ParentInfo> parents;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    std::vector<bool> is_goal;
-    std::deque<std::uint32_t> frontier;
-
-    State init = model_->initial();
-    util::PackedState init_packed = model_->pack(init);
-    index.emplace(init_packed, 0);
-    states.push_back(init_packed);
-    parents.push_back(ParentInfo{{}, 0, 0, true});
-    is_goal.push_back(goal(init));
-    frontier.push_back(0);
-
-    while (!frontier.empty()) {
-      const bool over_budget = states.size() > max_states;
-      if (over_budget || (cancel && cancel->cancelled())) {
-        // Budget exceeded or cancelled: the graph is incomplete, so any
-        // verdict would be unsound. Report the partial exploration honestly
-        // — timing and depth included — and withhold the verdict explicitly
-        // instead of leaking the default-true initial value.
-        result.stats.exhausted = false;
-        result.stats.cancelled = !over_budget;
-        result.stats.states_explored = states.size();
-        result.stats.seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        result.verdict = Verdict::kInconclusive;
-        result.recoverable_everywhere = false;
-        result.dead_states = 0;
-        return result;
-      }
-      std::uint32_t cur_idx = frontier.front();
-      frontier.pop_front();
-      State cur = model_->unpack(states[cur_idx]);
-      const std::uint32_t depth = parents[cur_idx].depth;
-      result.stats.max_depth =
-          std::max<std::uint64_t>(result.stats.max_depth, depth);
-
-      for (const auto& succ : model_->successors(cur)) {
-        ++result.stats.transitions;
-        util::PackedState next_packed = model_->pack(succ.next);
-        auto [it, inserted] =
-            index.emplace(next_packed,
-                          static_cast<std::uint32_t>(states.size()));
-        if (inserted) {
-          states.push_back(next_packed);
-          parents.push_back(
-              ParentInfo{states[cur_idx], succ.choice_code, depth + 1,
-                         false});
-          is_goal.push_back(goal(succ.next));
-          frontier.push_back(it->second);
-        }
-        edges.emplace_back(cur_idx, it->second);
-      }
-    }
-
-    // Backward closure over reversed edges from the goal states.
-    std::vector<std::uint32_t> offsets(states.size() + 1, 0);
-    for (const auto& [from, to] : edges) ++offsets[to + 1];
-    for (std::size_t i = 1; i < offsets.size(); ++i) {
-      offsets[i] += offsets[i - 1];
-    }
-    std::vector<std::uint32_t> reverse(edges.size());
-    {
-      std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-      for (const auto& [from, to] : edges) reverse[cursor[to]++] = from;
-    }
-    std::vector<bool> can_recover(states.size(), false);
-    std::deque<std::uint32_t> back;
-    for (std::uint32_t i = 0; i < states.size(); ++i) {
-      if (is_goal[i]) {
-        can_recover[i] = true;
-        back.push_back(i);
-      }
-    }
-    while (!back.empty()) {
-      std::uint32_t cur = back.front();
-      back.pop_front();
-      for (std::uint32_t e = offsets[cur]; e < offsets[cur + 1]; ++e) {
-        std::uint32_t pred = reverse[e];
-        if (!can_recover[pred]) {
-          can_recover[pred] = true;
-          back.push_back(pred);
-        }
-      }
-    }
-
-    // Verdict + shortest witness into the dead region.
-    std::uint32_t witness_idx = 0;
-    std::uint32_t witness_depth = UINT32_MAX;
-    for (std::uint32_t i = 0; i < states.size(); ++i) {
-      if (can_recover[i]) continue;
-      ++result.dead_states;
-      if (parents[i].depth < witness_depth) {
-        witness_depth = parents[i].depth;
-        witness_idx = i;
-      }
-    }
-    result.recoverable_everywhere = result.dead_states == 0;
-    result.verdict = result.recoverable_everywhere ? Verdict::kHolds
-                                                   : Verdict::kViolated;
-    if (!result.recoverable_everywhere) {
-      std::vector<util::PackedState> path{states[witness_idx]};
-      util::PackedState cur = states[witness_idx];
-      while (true) {
-        const ParentInfo& info = parents[index.at(cur)];
-        if (info.is_root) break;
-        path.push_back(info.parent);
-        cur = info.parent;
-      }
-      for (std::size_t i = path.size(); i-- > 1;) {
-        TraceStepT<State> step;
-        step.before = model_->unpack(path[i]);
-        auto [next, label] = model_->apply(
-            step.before, parents[index.at(path[i - 1])].choice_code);
-        step.label = label;
-        step.after = next;
-        result.witness.push_back(step);
-      }
-    }
-
-    result.stats.states_explored = states.size();
+    Table table(initial_capacity_, detail::packed_key_bits(*model_));
+    detail::BfsGraph graph;
+    result.stats = run(table, nullptr, nullptr, max_states, cancel, nullptr,
+                       &graph, &goal)
+                       .stats;
+    detail::close_recoverability(*model_, table, graph, &result);
     result.stats.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -554,13 +516,6 @@ class Checker {
 
  private:
   using Table = TableT<detail::BfsNode>;
-
-  struct ParentInfo {
-    util::PackedState parent;
-    std::uint32_t choice_code = 0;
-    std::uint32_t depth = 0;
-    bool is_root = false;
-  };
 
   // Level-synchronized BFS: the frontier is expanded one full depth level
   // at a time, and a violation/goal found at level d is reported only after
@@ -578,17 +533,23 @@ class Checker {
   // links, and growth remaps them — in place, mid-level, since exactly one
   // thread is active here (the parallel engine instead drops the partial
   // level and retries at the barrier).
-  CheckResultT<State> run(const Violation* violation, const Goal* goal,
-                          std::uint64_t max_states,
+  //
+  // With `graph` set (check_recoverability), the pass records every
+  // transition into it and tags the states satisfying `tag_goal`. The
+  // checkpoint format does not carry the edge list, so that mode never
+  // checkpoints.
+  CheckResultT<State> run(Table& table, const Violation* violation,
+                          const Goal* goal, std::uint64_t max_states,
                           const util::CancelToken* cancel,
-                          const CheckpointConfig* checkpoint = nullptr) const {
+                          const CheckpointConfig* checkpoint,
+                          detail::BfsGraph* graph = nullptr,
+                          const Goal* tag_goal = nullptr) const {
     const auto t0 = std::chrono::steady_clock::now();
     CheckResultT<State> result;
     const CheckpointData::Mode ckpt_mode =
         violation ? CheckpointData::Mode::kSafetyCheck
                   : CheckpointData::Mode::kFindState;
-
-    Table table(initial_capacity_, detail::packed_key_bits(*model_));
+    if (graph) checkpoint = nullptr;
 
     auto finish = [&](Verdict verdict) {
       result.verdict = verdict;
@@ -609,6 +570,7 @@ class Checker {
     if (!result.stats.resumed) {
       State init = model_->initial();
       detail::BfsNode root{0, 0, 0, detail::kBfsRootFlag};
+      if (tag_goal && (*tag_goal)(init)) root.flags |= detail::kBfsGoalFlag;
       typename Table::Insert ins = table.insert(model_->pack(init), root);
       TTA_CHECK(ins.inserted);
       level.push_back(ins.slot);
@@ -641,6 +603,9 @@ class Checker {
       std::uint32_t goal_slot = Table::kNoSlot;
 
       std::vector<std::uint32_t> next_level;
+      if (graph) {
+        graph->rows.insert(graph->rows.end(), level.begin(), level.end());
+      }
       for (std::size_t i = 0; i < level.size(); ++i) {
         if (cancel && cancel->cancelled()) {
           was_cancelled = true;
@@ -665,10 +630,16 @@ class Checker {
             // In-place growth: single-threaded, so remap every slot index
             // in flight and retry the same insert with the same memoized
             // hash — no transition is recounted, no level is redone.
+            // Room for twice the size quadruples the capacity (few
+            // rebuilds). A recoverability pass keeps its table through the
+            // closure, so it only doubles (asking for max_load() doubles
+            // even when the compact backend saturates below its ceiling).
             std::vector<std::uint32_t> remap = detail::grow_table(
-                table, table.size() * 2, detail::KeepAll{});
+                table, graph ? table.max_load() : table.size() * 2,
+                detail::KeepAll{});
             for (std::uint32_t& s : level) s = remap[s];
             for (std::uint32_t& s : next_level) s = remap[s];
+            if (graph) graph->remap(remap);
             if (violation_found) violation_slot = remap[violation_slot];
             if (goal_found) goal_slot = remap[goal_slot];
             cur_slot = remap[cur_slot];
@@ -678,12 +649,17 @@ class Checker {
           }
           if (r.inserted) {
             next_level.push_back(r.slot);
+            if (tag_goal && (*tag_goal)(succ.next)) {
+              table.value_at(r.slot).flags |= detail::kBfsGoalFlag;
+            }
             if (goal && !goal_found && (*goal)(succ.next)) {
               goal_found = true;
               goal_slot = r.slot;
             }
           }
+          if (graph) graph->targets.push_back(r.slot);
         }
+        if (graph) graph->end_row();
       }
 
       if (was_cancelled) {

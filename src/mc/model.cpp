@@ -62,6 +62,23 @@ bool TtpcStarModel::replay_allowed(
   }
 }
 
+ttpc::ChannelView TtpcStarModel::transfer(const ttpc::ChannelFrame& merged,
+                                          const FaultPair& pair,
+                                          WorldState& next) const {
+  // A missing coupler 1 carries permanent silence and keeps no buffer
+  // state.
+  ttpc::ChannelView view;
+  view.ch0 = coupler_.transfer(merged, pair.f0, next.couplers[0]);
+  if (config_.num_couplers == 2) {
+    view.ch1 = coupler_.transfer(merged, pair.f1, next.couplers[1]);
+  }
+  if (pair.f0 == guardian::CouplerFault::kOutOfSlot ||
+      pair.f1 == guardian::CouplerFault::kOutOfSlot) {
+    if (next.oos_errors_used < 7) ++next.oos_errors_used;
+  }
+  return view;
+}
+
 std::pair<WorldState, TransitionLabel> TtpcStarModel::apply(
     const WorldState& s, std::uint32_t choice_code) const {
   const std::size_t n = num_nodes();
@@ -83,19 +100,12 @@ std::pair<WorldState, TransitionLabel> TtpcStarModel::apply(
   }
   ttpc::ChannelFrame merged = guardian::AbstractCoupler::merge_transmissions(sent);
 
-  // 2. Coupler transfer (updates the frame buffers in `next`). A missing
-  // coupler 1 carries permanent silence and keeps no buffer state.
-  label.ch0 = coupler_.transfer(merged, pair.f0, next.couplers[0]);
-  label.ch1 = config_.num_couplers == 2
-                  ? coupler_.transfer(merged, pair.f1, next.couplers[1])
-                  : ttpc::ChannelFrame{};
-  if (pair.f0 == guardian::CouplerFault::kOutOfSlot ||
-      pair.f1 == guardian::CouplerFault::kOutOfSlot) {
-    if (next.oos_errors_used < 7) ++next.oos_errors_used;
-  }
+  // 2. Coupler transfer.
+  const ttpc::ChannelView view = transfer(merged, pair, next);
+  label.ch0 = view.ch0;
+  label.ch1 = view.ch1;
 
   // 3. Node transitions under the encoded choices.
-  ttpc::ChannelView view{label.ch0, label.ch1};
   for (std::size_t i = 0; i < n; ++i) {
     unsigned choice = (choice_code >> (3 + 2 * i)) & 0x3;
     ttpc::StepOutcome out = controller_.step(
@@ -107,15 +117,30 @@ std::pair<WorldState, TransitionLabel> TtpcStarModel::apply(
 }
 
 std::vector<Successor> TtpcStarModel::successors(const WorldState& s) const {
+  // Same successors, in the same order and with the same choice codes, as
+  // calling apply() on every code below; apply() stays the trace-replay
+  // reference and tests/mc_model_test.cpp holds the two in agreement. The
+  // work is hoisted out of the odometer: transmissions once per state, the
+  // coupler transfers once per fault pair, and each node's step once per
+  // (fault pair, choice).
   const std::size_t n = num_nodes();
-  std::vector<Successor> out;
 
-  // Per-node choice counts for the odometer.
   std::array<unsigned, kMaxNodes> counts{};
+  std::size_t combos = 1;
+  std::vector<ttpc::ChannelFrame> sent(n);
   for (std::size_t i = 0; i < n; ++i) {
     counts[i] = controller_.num_choices(s.nodes[i]);
+    TTA_DCHECK(counts[i] <= kMaxChoices);
+    combos *= counts[i];
+    sent[i] = controller_.frame_to_send(s.nodes[i],
+                                        static_cast<ttpc::NodeId>(i + 1));
   }
+  const ttpc::ChannelFrame merged =
+      guardian::AbstractCoupler::merge_transmissions(sent);
 
+  std::vector<Successor> out;
+  out.reserve(fault_pairs_.size() * combos);
+  std::array<std::array<ttpc::NodeState, kMaxChoices>, kMaxNodes> stepped;
   for (std::size_t fp = 0; fp < fault_pairs_.size(); ++fp) {
     const FaultPair& pair = fault_pairs_[fp];
     // State-dependent admissibility of the replay fault.
@@ -128,21 +153,35 @@ std::vector<Successor> TtpcStarModel::successors(const WorldState& s) const {
       continue;
     }
 
+    Successor succ{s, static_cast<std::uint32_t>(fp)};
+    WorldState& next = succ.next;
+    const ttpc::ChannelView view = transfer(merged, pair, next);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (unsigned c = 0; c < counts[i]; ++c) {
+        stepped[i][c] = controller_
+                            .step(s.nodes[i], static_cast<ttpc::NodeId>(i + 1),
+                                  view, c)
+                            .next;
+      }
+      next.nodes[i] = stepped[i][0];
+    }
+
+    // Odometer over the per-node choice ranges, node 0 fastest: only the
+    // nodes whose digit changed are rewritten.
     std::array<unsigned, kMaxNodes> odo{};
     while (true) {
-      std::uint32_t code = static_cast<std::uint32_t>(fp);
-      for (std::size_t i = 0; i < n; ++i) {
-        code |= static_cast<std::uint32_t>(odo[i]) << (3 + 2 * i);
-      }
-      out.push_back(Successor{apply(s, code).first, code});
-
-      // Odometer increment over the per-node choice ranges.
+      out.push_back(succ);
       std::size_t i = 0;
       for (; i < n; ++i) {
         if (++odo[i] < counts[i]) break;
         odo[i] = 0;
       }
       if (i == n) break;
+      succ.choice_code = static_cast<std::uint32_t>(fp);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j <= i) next.nodes[j] = stepped[j][odo[j]];
+        succ.choice_code |= static_cast<std::uint32_t>(odo[j]) << (3 + 2 * j);
+      }
     }
   }
   return out;

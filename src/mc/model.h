@@ -30,6 +30,10 @@ namespace tta::mc {
 /// Upper bound on cluster size supported by the packed encoding.
 inline constexpr std::size_t kMaxNodes = 6;
 
+/// Upper bound on a node's nondeterministic choices per step (the choice
+/// code spends 2 bits per node).
+inline constexpr unsigned kMaxChoices = 4;
+
 struct ModelConfig {
   ttpc::ProtocolConfig protocol;  ///< defaults: 4 nodes, restricted choices
   guardian::Authority authority = guardian::Authority::kFullShifting;
@@ -115,6 +119,12 @@ class TtpcStarModel {
     guardian::CouplerFault f0 = guardian::CouplerFault::kNone;
     guardian::CouplerFault f1 = guardian::CouplerFault::kNone;
   };
+
+  /// Coupler transfer of the merged transmissions under `pair`: updates
+  /// the frame buffers and the replay budget in `next`, and returns what
+  /// the two channels carried. Shared by apply() and successors().
+  ttpc::ChannelView transfer(const ttpc::ChannelFrame& merged,
+                             const FaultPair& pair, WorldState& next) const;
 
   /// Whether an out_of_slot replay is admissible for `coupler` in state `s`
   /// (budget, authority, buffered-frame content constraints).

@@ -29,7 +29,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -75,8 +74,8 @@ class ParallelChecker {
                             const util::CancelToken* cancel = nullptr,
                             const CheckpointConfig* checkpoint =
                                 nullptr) const {
-    return run(&violation, nullptr, max_states, nullptr, nullptr, cancel,
-               checkpoint);
+    Table table(initial_capacity_, detail::packed_key_bits(*model_));
+    return run(table, &violation, nullptr, max_states, cancel, checkpoint);
   }
 
   /// Shortest witness to a goal state; see Checker::find_state.
@@ -85,85 +84,24 @@ class ParallelChecker {
                                  const util::CancelToken* cancel = nullptr,
                                  const CheckpointConfig* checkpoint =
                                      nullptr) const {
-    return run(nullptr, &goal, max_states, nullptr, nullptr, cancel,
-               checkpoint);
+    Table table(initial_capacity_, detail::packed_key_bits(*model_));
+    return run(table, nullptr, &goal, max_states, cancel, checkpoint);
   }
 
   /// AG EF goal; see Checker::check_recoverability. The forward pass runs
-  /// on the thread pool; the backward closure is a cheap serial sweep over
-  /// the reversed edge list.
+  /// on the thread pool; detail::close_recoverability is the same serial
+  /// backward closure the serial engine uses.
   RecoverabilityResultT<State> check_recoverability(
       const Goal& goal, std::uint64_t max_states = 10'000'000,
       const util::CancelToken* cancel = nullptr) const {
     const auto t0 = std::chrono::steady_clock::now();
     RecoverabilityResultT<State> result;
-
     Table table(initial_capacity_, detail::packed_key_bits(*model_));
-    std::vector<Edge> edges;
-    ForwardGraph graph{&table, &edges, &goal};
-    run(nullptr, nullptr, max_states, &graph, &result.stats, cancel);
-    if (!result.stats.exhausted) {
-      // Incomplete graph: withhold the verdict explicitly (mirrors the
-      // serial engine's budget bail-out).
-      result.verdict = Verdict::kInconclusive;
-      result.recoverable_everywhere = false;
-      result.dead_states = 0;
-      result.stats.seconds = seconds_since(t0);
-      return result;
-    }
-
-    // Backward closure over reversed edges from the goal states, on slot
-    // indices (the slot array is sparse; empty slots are simply untouched).
-    const std::size_t cap = table.capacity();
-    std::vector<std::uint32_t> offsets(cap + 1, 0);
-    for (const Edge& e : edges) ++offsets[e.to + 1];
-    for (std::size_t i = 1; i < offsets.size(); ++i) {
-      offsets[i] += offsets[i - 1];
-    }
-    std::vector<std::uint32_t> reverse(edges.size());
-    {
-      std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-      for (const Edge& e : edges) reverse[cursor[e.to]++] = e.from;
-    }
-    std::vector<bool> can_recover(cap, false);
-    std::deque<std::uint32_t> back;
-    for (std::uint32_t s = 0; s < cap; ++s) {
-      if (table.occupied(s) &&
-          (table.value_at(s).flags & detail::kBfsGoalFlag)) {
-        can_recover[s] = true;
-        back.push_back(s);
-      }
-    }
-    while (!back.empty()) {
-      std::uint32_t cur = back.front();
-      back.pop_front();
-      for (std::uint32_t e = offsets[cur]; e < offsets[cur + 1]; ++e) {
-        std::uint32_t pred = reverse[e];
-        if (!can_recover[pred]) {
-          can_recover[pred] = true;
-          back.push_back(pred);
-        }
-      }
-    }
-
-    // Verdict + shortest witness into the dead region.
-    std::uint32_t witness_slot = Table::kNoSlot;
-    std::uint32_t witness_depth = UINT32_MAX;
-    for (std::uint32_t s = 0; s < cap; ++s) {
-      if (!table.occupied(s) || can_recover[s]) continue;
-      ++result.dead_states;
-      if (table.value_at(s).depth < witness_depth) {
-        witness_depth = table.value_at(s).depth;
-        witness_slot = s;
-      }
-    }
-    result.recoverable_everywhere = result.dead_states == 0;
-    result.verdict = result.recoverable_everywhere ? Verdict::kHolds
-                                                   : Verdict::kViolated;
-    if (!result.recoverable_everywhere) {
-      result.witness = detail::reconstruct_trace(*model_, table,
-                                                 witness_slot);
-    }
+    detail::BfsGraph graph;
+    result.stats = run(table, nullptr, nullptr, max_states, cancel, nullptr,
+                       &graph, &goal)
+                       .stats;
+    detail::close_recoverability(*model_, table, graph, &result);
     result.stats.seconds = seconds_since(t0);
     return result;
   }
@@ -171,7 +109,6 @@ class ParallelChecker {
  private:
   using NodeInfo = detail::BfsNode;
   using Table = TableT<NodeInfo>;
-  using Edge = detail::BfsEdge;
 
   /// Direct-mapped cache of recently inserted successors, valid within one
   /// level expansion of one chunk (slot indices are stable between level
@@ -203,14 +140,6 @@ class ParallelChecker {
     }
   };
 
-  /// When run() enumerates the full graph for check_recoverability it also
-  /// records every transition edge and tags goal states in the table.
-  struct ForwardGraph {
-    Table* table;
-    std::vector<Edge>* edges;
-    const Goal* goal;
-  };
-
   /// First hit within a task's chunk, ordered by (frontier index,
   /// successor index); chunks are contiguous, so the per-task first hit is
   /// the per-task minimum and the cross-task minimum is the level minimum.
@@ -228,38 +157,31 @@ class ParallelChecker {
 
   /// Grows `table` (detail::grow_table rewrites the parent links), then
   /// rewrites the slot references only this engine holds: the current
-  /// frontier and (for recoverability) the accumulated edge list.
+  /// frontier and (for recoverability) the recorded graph.
   /// Single-threaded; called only at level barriers.
   template <class Drop>
   static void grow(Table& table, std::size_t needed,
-                   std::vector<std::uint32_t>& level,
-                   std::vector<Edge>* edges, Drop&& drop) {
+                   std::vector<std::uint32_t>& level, detail::BfsGraph* graph,
+                   Drop&& drop) {
     std::vector<std::uint32_t> remap =
         detail::grow_table(table, needed, std::forward<Drop>(drop));
     for (std::uint32_t& s : level) s = remap[s];
-    if (edges) {
-      for (Edge& e : *edges) {
-        e.from = remap[e.from];
-        e.to = remap[e.to];
-      }
-    }
+    if (graph) graph->remap(remap);
   }
 
-  CheckResultT<State> run(const Violation* violation, const Goal* goal,
-                          std::uint64_t max_states,
-                          const ForwardGraph* graph,
-                          CheckStats* stats_out = nullptr,
-                          const util::CancelToken* cancel = nullptr,
-                          const CheckpointConfig* checkpoint = nullptr) const {
+  CheckResultT<State> run(Table& table, const Violation* violation,
+                          const Goal* goal, std::uint64_t max_states,
+                          const util::CancelToken* cancel,
+                          const CheckpointConfig* checkpoint,
+                          detail::BfsGraph* graph = nullptr,
+                          const Goal* tag_goal = nullptr) const {
     const auto t0 = std::chrono::steady_clock::now();
     CheckResultT<State> result;
 
-    Table local_table(initial_capacity_, detail::packed_key_bits(*model_));
-    Table& table = graph ? *graph->table : local_table;
-    std::vector<Edge>* edges = graph ? graph->edges : nullptr;
-    const Goal* tag_goal = graph ? graph->goal : nullptr;
-    // Recoverability's forward pass also accumulates the edge list, which
-    // the checkpoint format does not carry — graph mode never checkpoints.
+    // With `graph` set (check_recoverability), the pass records every
+    // transition into it and tags the states satisfying `tag_goal`. The
+    // checkpoint format does not carry the edge list, so that mode never
+    // checkpoints.
     const CheckpointConfig* ckpt = graph ? nullptr : checkpoint;
     const CheckpointData::Mode ckpt_mode =
         violation ? CheckpointData::Mode::kSafetyCheck
@@ -270,7 +192,6 @@ class ParallelChecker {
       result.stats.states_explored = table.size();
       detail::fill_table_stats(table, &result.stats);
       result.stats.seconds = seconds_since(t0);
-      if (stats_out) *stats_out = result.stats;
     };
 
     std::vector<std::uint32_t> level;
@@ -328,11 +249,14 @@ class ParallelChecker {
       const std::size_t headroom =
           table.size() + growth_headroom_ * level.size();
       if (headroom >= table.max_load()) {
-        grow(table, headroom, level, edges, detail::KeepAll{});
+        grow(table, headroom, level, graph, detail::KeepAll{});
       }
 
       std::vector<std::vector<std::uint32_t>> next(tasks);
-      std::vector<std::vector<Edge>> new_edges(tasks);
+      // Recoverability: each chunk's edge targets, and the end offset of
+      // each of its rows within them.
+      std::vector<std::vector<std::uint32_t>> new_targets(tasks);
+      std::vector<std::vector<std::uint32_t>> new_row_ends(tasks);
       std::vector<std::uint64_t> transitions(tasks, 0);
       std::vector<std::uint64_t> dedup_skips(tasks, 0);
       std::vector<Hit> violation_hit(tasks);
@@ -347,7 +271,8 @@ class ParallelChecker {
             // output slots once at the end (avoids false sharing on the
             // hot transition counter).
             std::vector<std::uint32_t> my_next;
-            std::vector<Edge> my_edges;
+            std::vector<std::uint32_t> my_targets;
+            std::vector<std::uint32_t> my_row_ends;
             std::uint64_t my_transitions = 0;
             std::uint64_t my_dedup_skips = 0;
             Hit my_violation, my_goal;
@@ -377,7 +302,7 @@ class ParallelChecker {
                   // this level, so the insert would report inserted ==
                   // false and return the cached slot — skip it entirely.
                   ++my_dedup_skips;
-                  if (edges) my_edges.push_back(Edge{cur_slot, cached});
+                  if (graph) my_targets.push_back(cached);
                   continue;
                 }
                 NodeInfo info{cur_slot, succ.choice_code,
@@ -391,7 +316,7 @@ class ParallelChecker {
                   break;
                 }
                 dd.remember(packed, hashed.raw(), r.slot);
-                if (edges) my_edges.push_back(Edge{cur_slot, r.slot});
+                if (graph) my_targets.push_back(r.slot);
                 if (r.inserted) {
                   my_next.push_back(r.slot);
                   if (goal && my_goal.slot == Table::kNoSlot &&
@@ -401,9 +326,14 @@ class ParallelChecker {
                 }
               }
               if (overflow.load(std::memory_order_relaxed)) break;
+              if (graph) {
+                my_row_ends.push_back(
+                    static_cast<std::uint32_t>(my_targets.size()));
+              }
             }
             next[chunk] = std::move(my_next);
-            new_edges[chunk] = std::move(my_edges);
+            new_targets[chunk] = std::move(my_targets);
+            new_row_ends[chunk] = std::move(my_row_ends);
             transitions[chunk] = my_transitions;
             dedup_skips[chunk] = my_dedup_skips;
             violation_hit[chunk] = my_violation;
@@ -428,7 +358,7 @@ class ParallelChecker {
         // them.
         const std::uint16_t dropped_depth =
             static_cast<std::uint16_t>(depth + 1);
-        grow(table, table.size() * 2, level, edges,
+        grow(table, table.size() * 2, level, graph,
              [dropped_depth](const NodeInfo& info) {
                return info.depth == dropped_depth;
              });
@@ -487,9 +417,18 @@ class ParallelChecker {
 
       std::size_t total = 0;
       for (const auto& chunk : next) total += chunk.size();
-      if (edges) {
-        for (auto& chunk : new_edges) {
-          edges->insert(edges->end(), chunk.begin(), chunk.end());
+      if (graph) {
+        // Chunks are contiguous frontier ranges, so concatenating them in
+        // chunk order appends this level's rows in frontier order.
+        graph->rows.insert(graph->rows.end(), level.begin(), level.end());
+        for (unsigned c = 0; c < tasks; ++c) {
+          const std::size_t base = graph->targets.size();
+          TTA_CHECK(base + new_targets[c].size() < UINT32_MAX);
+          for (std::uint32_t end : new_row_ends[c]) {
+            graph->offsets.push_back(static_cast<std::uint32_t>(base + end));
+          }
+          graph->targets.insert(graph->targets.end(), new_targets[c].begin(),
+                                new_targets[c].end());
         }
       }
       if (total == 0) break;

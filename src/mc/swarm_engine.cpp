@@ -55,9 +55,9 @@ struct RaceShared {
 /// order plus a Fisher-Yates shuffle of each state's successors), odd
 /// workers run shuffled-frontier BFS (level order shuffled at every
 /// barrier) — two different ways of decorrelating the search order from
-/// the frontier order the exhaustive engines share. Bookkeeping mirrors
-/// check_recoverability's forward pass: an index over packed states with
-/// parent/choice records, so a win replays as pure choice codes.
+/// the frontier order the exhaustive engines share. Bookkeeping is a plain
+/// index over packed states with parent/choice records, so a win replays
+/// as pure choice codes.
 void race_worker(const TtpcStarModel& model, const EngineQuery& query,
                  unsigned index, std::uint64_t worker_seed, RaceShared* shared,
                  std::uint64_t* states_out) {

@@ -30,31 +30,4 @@ std::size_t hash_value(const PackedState& s) noexcept {
   return static_cast<std::size_t>(h);
 }
 
-void BitWriter::write(std::uint64_t value, unsigned bits) {
-  TTA_DCHECK(bits >= 1 && bits <= 64);
-  TTA_DCHECK(bits == 64 || value < (1ull << bits));
-  TTA_DCHECK(pos_ + bits <= kPackedWords * 64);
-  unsigned word = pos_ / 64;
-  unsigned off = pos_ % 64;
-  out_->words[word] |= value << off;
-  if (off + bits > 64) {
-    out_->words[word + 1] |= value >> (64 - off);
-  }
-  pos_ += bits;
-}
-
-std::uint64_t BitReader::read(unsigned bits) {
-  TTA_DCHECK(bits >= 1 && bits <= 64);
-  TTA_DCHECK(pos_ + bits <= kPackedWords * 64);
-  unsigned word = pos_ / 64;
-  unsigned off = pos_ % 64;
-  std::uint64_t v = in_->words[word] >> off;
-  if (off + bits > 64) {
-    v |= in_->words[word + 1] << (64 - off);
-  }
-  pos_ += bits;
-  if (bits < 64) v &= (1ull << bits) - 1;
-  return v;
-}
-
 }  // namespace tta::util

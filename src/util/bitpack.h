@@ -45,8 +45,20 @@ class BitWriter {
   explicit BitWriter(PackedState& out) : out_(&out) {}
 
   /// Appends `bits` bits of `value`. Requires value < 2^bits and that the
-  /// total stays within kPackedWords*64 bits.
-  void write(std::uint64_t value, unsigned bits);
+  /// total stays within kPackedWords*64 bits. Inline: pack() calls this
+  /// once per field on every generated successor.
+  void write(std::uint64_t value, unsigned bits) {
+    TTA_DCHECK(bits >= 1 && bits <= 64);
+    TTA_DCHECK(bits == 64 || value < (1ull << bits));
+    TTA_DCHECK(pos_ + bits <= kPackedWords * 64);
+    const unsigned word = pos_ / 64;
+    const unsigned off = pos_ % 64;
+    out_->words[word] |= value << off;
+    if (off + bits > 64) {
+      out_->words[word + 1] |= value >> (64 - off);
+    }
+    pos_ += bits;
+  }
 
   /// Appends a boolean as one bit.
   void write_bool(bool b) { write(b ? 1u : 0u, 1); }
@@ -63,7 +75,19 @@ class BitReader {
  public:
   explicit BitReader(const PackedState& in) : in_(&in) {}
 
-  std::uint64_t read(unsigned bits);
+  std::uint64_t read(unsigned bits) {
+    TTA_DCHECK(bits >= 1 && bits <= 64);
+    TTA_DCHECK(pos_ + bits <= kPackedWords * 64);
+    const unsigned word = pos_ / 64;
+    const unsigned off = pos_ % 64;
+    std::uint64_t v = in_->words[word] >> off;
+    if (off + bits > 64) {
+      v |= in_->words[word + 1] << (64 - off);
+    }
+    pos_ += bits;
+    if (bits < 64) v &= (1ull << bits) - 1;
+    return v;
+  }
   bool read_bool() { return read(1) != 0; }
 
   unsigned bits_read() const { return pos_; }

@@ -170,6 +170,30 @@ TEST(SerialCancel, RecoverabilityBudgetBailStaysInconclusive) {
   EXPECT_FALSE(res.stats.exhausted);
 }
 
+TEST(SerialCancel, RecoverabilityCancelledMidRunIsInconclusive) {
+  // The goal predicate runs once per discovered state of the forward pass;
+  // tripping the token from inside it cancels a search that is well under
+  // way, with part of the graph recorded and no closure computed yet.
+  TtpcStarModel model(config(guardian::Authority::kFullShifting));
+  util::CancelToken token;
+  const auto all = all_active(model);
+  std::uint64_t calls = 0;
+  auto tripping_goal = [&](const WorldState& w) {
+    if (++calls == 5'000) token.request_cancel();
+    return all(w);
+  };
+  auto res = Checker(model).check_recoverability(
+      tripping_goal, /*max_states=*/10'000'000, &token);
+  EXPECT_GE(calls, 5'000u);
+  EXPECT_EQ(res.verdict, Verdict::kInconclusive);
+  EXPECT_TRUE(res.stats.cancelled);
+  EXPECT_FALSE(res.stats.exhausted);
+  EXPECT_FALSE(res.recoverable_everywhere);
+  EXPECT_TRUE(res.witness.empty());
+  EXPECT_EQ(res.dead_states, 0u);
+  EXPECT_GT(res.stats.states_explored, 1u);
+}
+
 TEST(ParallelCancel, PreCancelledCheckIsInconclusive) {
   for (unsigned threads : {1u, 4u}) {
     TtpcStarModel model(config(guardian::Authority::kPassive));

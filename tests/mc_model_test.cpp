@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
+#include "ttpc/controller.h"
 #include "util/rng.h"
 
 namespace tta::mc {
@@ -258,6 +263,75 @@ TEST(Model, SingleCouplerShrinksThePackedState) {
   s.couplers[0].buffered_frame = ttpc::FrameKind::kCState;
   s.couplers[0].buffered_id = 3;
   EXPECT_EQ(single_model.unpack(single_model.pack(s)), s);
+}
+
+TEST(Model, SuccessorsAgreeWithApplyOverRandomWalks) {
+  // successors() assembles its states from hoisted per-fault-pair and
+  // per-(node, choice) work; apply() replays one code from scratch. Every
+  // successor must be exactly apply()'s state for its code, and the codes
+  // must keep their historical order: fault pair outermost, then an
+  // odometer over the nodes' choices with node 0 changing fastest.
+  util::Rng rng(2004);
+  for (guardian::Authority authority : guardian::kAllAuthorities) {
+    for (unsigned couplers : {1u, 2u}) {
+      for (std::uint8_t nodes : {3, 4, 5}) {
+        for (unsigned max_oos : {1u, 7u}) {
+          ModelConfig cfg;
+          cfg.authority = authority;
+          cfg.num_couplers = couplers;
+          cfg.protocol.num_nodes = nodes;
+          cfg.protocol.num_slots = nodes;
+          cfg.max_out_of_slot_errors = max_oos;
+          TtpcStarModel model(cfg);
+          ttpc::Controller controller(cfg.protocol);
+          const std::string where =
+              std::string(guardian::to_string(authority)) + " couplers=" +
+              std::to_string(couplers) + " nodes=" + std::to_string(nodes) +
+              " max_oos=" + std::to_string(max_oos);
+
+          for (int walk = 0; walk < 4; ++walk) {
+            WorldState s = model.initial();
+            for (int step = 0; step < 40; ++step) {
+              const std::vector<Successor> succs = model.successors(s);
+              ASSERT_FALSE(succs.empty()) << where;
+
+              std::vector<std::uint32_t> expected;
+              for (const Successor& succ : succs) {
+                const std::uint32_t fp = succ.choice_code & 0x7;
+                if (!expected.empty() && (expected.back() & 0x7) == fp) {
+                  continue;  // this fault pair's codes are already listed
+                }
+                ASSERT_TRUE(expected.empty() || (expected.back() & 0x7) < fp)
+                    << where;
+                std::array<unsigned, kMaxNodes> odo{};
+                while (true) {
+                  std::uint32_t code = fp;
+                  for (std::size_t i = 0; i < nodes; ++i) {
+                    code |= static_cast<std::uint32_t>(odo[i]) << (3 + 2 * i);
+                  }
+                  expected.push_back(code);
+                  std::size_t i = 0;
+                  for (; i < nodes; ++i) {
+                    if (++odo[i] < controller.num_choices(s.nodes[i])) break;
+                    odo[i] = 0;
+                  }
+                  if (i == nodes) break;
+                }
+              }
+              ASSERT_EQ(succs.size(), expected.size()) << where;
+              for (std::size_t k = 0; k < succs.size(); ++k) {
+                ASSERT_EQ(succs[k].choice_code, expected[k]) << where;
+                ASSERT_EQ(succs[k].next,
+                          model.apply(s, succs[k].choice_code).first)
+                    << where << " k=" << k;
+              }
+              s = succs[rng.next_below(succs.size())].next;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
