@@ -21,7 +21,6 @@
 
 #include "bench_json.h"
 #include "mc/checker.h"
-#include "mc/parallel_checker.h"
 #include "mc/swarm_engine.h"
 #include "util/compact_state_table.h"
 #include "util/thread_pool.h"
@@ -127,7 +126,7 @@ void print_parallel_comparison(bench::JsonWriter& json) {
   record(json, "parallel_compare serial", serial.stats);
 
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    mc::ParallelChecker checker(m, threads);
+    mc::Checker checker(m, mc::Threads{threads});
     auto res = checker.check(mc::no_integrated_node_freezes());
     double speedup = serial.stats.seconds / res.stats.seconds;
     bool same = res.stats.states_explored == serial.stats.states_explored &&
@@ -289,7 +288,7 @@ MemoryRow memory_case(const mc::TtpcStarModel& m, unsigned threads) {
   MemoryRow row;
   reset_peak_rss();
   const std::uint64_t before = read_vm_hwm_kb();
-  mc::ParallelChecker<mc::TtpcStarModel, TableT> checker(m, threads);
+  mc::Checker<mc::TtpcStarModel, TableT> checker(m, mc::Threads{threads});
   auto res = checker.check(mc::no_integrated_node_freezes());
   const std::uint64_t after = read_vm_hwm_kb();
   row.stats = res.stats;
@@ -433,7 +432,7 @@ void BM_ParallelExhaustiveVerification(benchmark::State& state) {
   std::uint64_t states = 0;
   for (auto _ : state) {
     mc::TtpcStarModel model(cfg);
-    mc::ParallelChecker checker(model, threads);
+    mc::Checker checker(model, mc::Threads{threads});
     auto res = checker.check(mc::no_integrated_node_freezes());
     states = res.stats.states_explored;
     benchmark::DoNotOptimize(res.holds());

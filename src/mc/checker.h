@@ -19,8 +19,8 @@
 // TtpcStarModel (the paper's model) and MonitoredModel (the
 // history-augmented variant in mc/monitor.h) satisfy this.
 //
-// Both engines are additionally generic over the visited-table storage
-// policy (TableT): util::ConcurrentStateTable (flat, full keys inline) or
+// Checker is additionally generic over the visited-table storage policy
+// (TableT): util::ConcurrentStateTable (flat, full keys inline) or
 // util::CompactStateTable (Cleary-style quotiented keys, ~0.5x the bytes
 // per state). The backends answer membership identically, so verdicts,
 // statistics, and traces are bit-identical across them; mc::cross_check
@@ -32,13 +32,19 @@
 //   * find_state(goal)  — reachability: shortest path to a state satisfying
 //     the goal (used by tests to prove, e.g., that startup can succeed).
 //
-// Checker is the single-threaded reference engine; mc/parallel_checker.h
-// implements the same level-synchronized BFS semantics across a thread pool
-// and is cross-validated against this class (docs/CHECKER.md).
+// Checker is the only BFS engine. Each depth level is split into
+// contiguous frontier chunks expanded over a util::ThreadPool, with the
+// visited set in a shared lock-free table (LTSmin-style). At one thread
+// the single chunk is the whole frontier, so the expansion order is the
+// naive FIFO BFS order and the traces are canonical; at any thread count
+// verdicts and exploration statistics are identical (docs/CHECKER.md).
+// tests/naive_bfs.h is the independent reference the engine is checked
+// against.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -51,6 +57,7 @@
 #include "util/check.h"
 #include "util/concurrent_state_table.h"
 #include "util/state_table_base.h"
+#include "util/thread_pool.h"
 
 namespace tta::mc {
 
@@ -77,12 +84,12 @@ enum class Verdict : std::uint8_t {
   kHolds = 0,         ///< exhaustive search, property holds / goal unreachable
   kViolated = 1,      ///< counterexample or goal witness found
   kInconclusive = 2,  ///< state budget, deadline, or cancellation stopped it
-  /// Redundant dual-engine execution (svc) ran the serial and parallel
-  /// engines on the same query and they disagreed — on the verdict or on
-  /// the exploration statistics the engines are documented to reproduce
-  /// bit-identically. Always a bug (most likely in the lock-free table or
-  /// the level-synchronization argument), never cached, and reported with
-  /// both engines' stat blocks so the divergence is debuggable.
+  /// Redundant dual-engine execution (svc) ran the same query at one and
+  /// at N threads (or on two table backends) and the runs disagreed — on
+  /// the verdict or on the exploration statistics the engine is documented
+  /// to reproduce bit-identically. Always a bug (most likely in the lock-
+  /// free table or the level-synchronization argument), never cached, and
+  /// reported with both runs' stat blocks so the divergence is debuggable.
   kEngineDivergence = 3,
 };
 
@@ -109,14 +116,15 @@ struct CheckStats {
   std::uint64_t states_explored = 0;   ///< distinct states expanded
   std::uint64_t transitions = 0;       ///< successor edges generated
   std::uint64_t max_depth = 0;         ///< BFS depth reached
-  std::uint64_t dedup_skips = 0;       ///< parallel engine: per-level
-                                       ///< successor dedup cache hits
+  std::uint64_t dedup_skips = 0;       ///< per-chunk, per-level successor
+                                       ///< dedup cache hits
   /// Times a state's hash/mix was computed again for a state the search
   /// had already hashed once: flat-table rebuild rehashes, checkpoint-
   /// restore lookups, and re-expansion after a mid-level overflow. The
   /// successor fast path memoizes the hash at generation time, so a clean
   /// non-growing run reports 0. Diagnostic — like dedup_skips it may
-  /// differ between engines/backends and is outside the bit-identity set.
+  /// differ between thread counts/backends and is outside the bit-identity
+  /// set.
   std::uint64_t hash_recomputes = 0;
   /// Visited-table footprint and probe behavior at the end of the search
   /// (diagnostic; feeds the bench_mc_perf memory panel).
@@ -129,7 +137,7 @@ struct CheckStats {
   // Swarm racing diagnostics (mc::SwarmEngine; zero everywhere else).
   // Like dedup_skips/hash_recomputes they are outside the bit-identity
   // set: the canonical verdict/trace fields above stay equal to the
-  // serial engine's, these describe how fast the race got there.
+  // 1-thread engine's, these describe how fast the race got there.
   std::uint64_t swarm_workers = 0;       ///< racers launched
   std::uint64_t swarm_race_won = 0;      ///< 1 if a racer beat the sweep
   std::uint64_t swarm_loser_states = 0;  ///< states explored by losing racers
@@ -174,7 +182,7 @@ namespace detail {
 inline constexpr std::uint8_t kBfsRootFlag = 1;
 inline constexpr std::uint8_t kBfsGoalFlag = 2;
 
-/// Inline per-state value both engines store in the visited table: BFS
+/// Inline per-state value the engine stores in the visited table: BFS
 /// parent as a slot index (rewritten through the remap whenever the table
 /// rebuilds), the choice code that replays parent -> state, and the BFS
 /// depth. Kept at 12 bytes (u16 depth — this model family's diameters are
@@ -247,11 +255,10 @@ std::vector<TraceStepT<typename Model::State>> reconstruct_trace(
 
 /// AG EF verdict from a complete forward graph: the backward closure from
 /// the goal-tagged states over the reversed edges, the dead-state count,
-/// and the shortest witness into the dead region. One function serves both
-/// engines. The witness ends at the first dead row, which has minimal depth
-/// because rows are in BFS order. `result->stats` must already hold the
-/// forward pass's statistics; an incomplete pass (budget or cancellation)
-/// withholds the verdict.
+/// and the shortest witness into the dead region. The witness ends at the
+/// first dead row, which has minimal depth because rows are in BFS order.
+/// `result->stats` must already hold the forward pass's statistics; an
+/// incomplete pass (budget or cancellation) withholds the verdict.
 template <class Model, class Table>
 void close_recoverability(
     const Model& model, const Table& table, const BfsGraph& graph,
@@ -312,7 +319,7 @@ void close_recoverability(
 /// Grows `table` so `needed` entries fit under max_load(), dropping
 /// entries selected by `drop`, and rewrites the parent links inside the
 /// table. Returns the remap so the caller can rewrite every slot index it
-/// holds (frontiers, edge lists, pending hits). Single-threaded; called
+/// holds (frontier, edge list, checkpoint slots). Single-threaded; called
 /// only at synchronization points.
 template <class Table, class Drop>
 std::vector<std::uint32_t> grow_table(Table& table, std::size_t needed,
@@ -351,7 +358,7 @@ void fill_table_stats(const Table& table, CheckStats* stats) {
 /// to packed keys — slots do not survive a restart — and the frontier in
 /// exactly its expansion order, which the bit-identity contract depends
 /// on. The format stores full keys, so a checkpoint written under one
-/// table backend (or engine) restores under any other.
+/// table backend or thread count restores under any other.
 template <class Table>
 CheckpointData snapshot_wavefront(const Table& table,
                                   const std::vector<std::uint32_t>& level,
@@ -387,7 +394,11 @@ CheckpointData snapshot_wavefront(const Table& table,
 /// no per-entry re-hash), then parent keys are resolved back into slot
 /// indices. The parent/frontier find()s are genuine hash recomputes and
 /// are counted as such. Returns false softly when there is nothing to
-/// resume.
+/// resume — including a file that passed its CRC, binding and mode checks
+/// but does not describe a BFS wavefront (a duplicate key, a parent or
+/// frontier key that is not in the visited set, a depth that does not fit
+/// BfsNode or does not follow its parent's). In that case the table is
+/// left empty, so the caller starts fresh.
 template <class Table>
 bool restore_wavefront(const CheckpointConfig& ckpt,
                        CheckpointData::Mode mode, Table& table,
@@ -396,6 +407,12 @@ bool restore_wavefront(const CheckpointConfig& ckpt,
                        std::size_t frontier_headroom) {
   CheckpointData data;
   if (!load_checkpoint(ckpt, &data, mode)) return false;
+  auto reject = [&] {
+    table.rebuild(table.capacity(), [](const BfsNode&) { return true; });
+    level->clear();
+    return false;
+  };
+  if (data.next_depth >= UINT16_MAX) return reject();
   const std::size_t needed =
       data.visited.size() + frontier_headroom * data.frontier.size();
   if (needed >= table.max_load()) {
@@ -406,7 +423,7 @@ bool restore_wavefront(const CheckpointConfig& ckpt,
   std::vector<std::uint32_t> slots;
   slots.reserve(data.visited.size());
   for (const CheckpointEntry& e : data.visited) {
-    TTA_CHECK(e.depth <= UINT16_MAX);
+    if (e.depth > UINT16_MAX) return reject();
     BfsNode info{0, e.choice, static_cast<std::uint16_t>(e.depth),
                  (e.flags & CheckpointEntry::kRootFlag)
                      ? kBfsRootFlag
@@ -421,34 +438,49 @@ bool restore_wavefront(const CheckpointConfig& ckpt,
       for (std::uint32_t& s : slots) s = remap[s];
       r = table.insert(e.key, info);
     }
-    TTA_CHECK(r.inserted);
+    if (!r.inserted) return reject();
     slots.push_back(r.slot);
   }
+  std::uint64_t finds = 0;
   for (std::size_t i = 0; i < data.visited.size(); ++i) {
     const CheckpointEntry& e = data.visited[i];
     if (e.flags & CheckpointEntry::kRootFlag) continue;
     const std::uint32_t parent = table.find(e.parent);
-    ++stats->hash_recomputes;
-    TTA_CHECK(parent != Table::kNoSlot);
+    ++finds;
+    // Depths strictly decrease along parent links, so every trace walk
+    // ends at a root.
+    if (parent == Table::kNoSlot ||
+        table.value_at(parent).depth + 1u != e.depth) {
+      return reject();
+    }
     table.value_at(slots[i]).parent = parent;
   }
   level->clear();
   level->reserve(data.frontier.size());
   for (const util::PackedState& s : data.frontier) {
     const std::uint32_t slot = table.find(s);
-    ++stats->hash_recomputes;
-    TTA_CHECK(slot != Table::kNoSlot);
+    ++finds;
+    if (slot == Table::kNoSlot) return reject();
     level->push_back(slot);
   }
   *start_depth = data.next_depth;
   stats->transitions = data.transitions;
   stats->dedup_skips = data.dedup_skips;
-  stats->hash_recomputes += data.hash_recomputes;
+  stats->hash_recomputes += data.hash_recomputes + finds;
   stats->resumed = true;
   return true;
 }
 
 }  // namespace detail
+
+/// Worker-thread count of a Checker; 0 picks the hardware concurrency. A
+/// distinct type rather than a bare integer, so a table capacity can never
+/// land in the thread-count position: Checker(model, 1u << 18) does not
+/// compile.
+struct Threads {
+  constexpr explicit Threads(unsigned n) : count(n) {}
+  unsigned count;
+};
 
 template <class Model,
           template <class> class TableT = util::ConcurrentStateTable>
@@ -458,9 +490,21 @@ class Checker {
   using Violation = std::function<bool(const State&, const State&)>;
   using Goal = std::function<bool(const State&)>;
 
-  explicit Checker(const Model& model,
+  /// One thread (the default) expands every level on the calling thread
+  /// and starts no worker; `initial_capacity` is the visited table's
+  /// starting slot count.
+  explicit Checker(const Model& model, Threads threads = Threads{1},
                    std::size_t initial_capacity = 1u << 16)
-      : model_(&model), initial_capacity_(initial_capacity) {}
+      : model_(&model),
+        pool_(threads.count),
+        initial_capacity_(initial_capacity) {}
+
+  /// Test hook: states of headroom the proactive growth budgets per
+  /// frontier state. 0 disables proactive growth so a growing level must
+  /// take the mid-level overflow + retry path.
+  void set_growth_headroom(std::size_t per_frontier_state) {
+    growth_headroom_ = per_frontier_state;
+  }
 
   /// Exhaustive safety check. `max_states` bounds memory; if the bound is
   /// hit the result reports exhausted = false and verdict = kInconclusive.
@@ -469,7 +513,8 @@ class Checker {
   /// honest partial stats — never a hang, never a fabricated verdict.
   /// A non-null `checkpoint` makes the search resumable: the wavefront is
   /// saved at level barriers and a later invocation with the same config
-  /// continues from it to a bit-identical result (mc/checkpoint.h).
+  /// continues from it to a bit-identical result (mc/checkpoint.h), at any
+  /// thread count and on either table backend.
   CheckResultT<State> check(const Violation& violation,
                             std::uint64_t max_states = 50'000'000,
                             const util::CancelToken* cancel = nullptr,
@@ -495,8 +540,7 @@ class Checker {
   /// (the same run() as check(), recording CSR edges and tagging goal
   /// states in the table) followed by detail::close_recoverability, the
   /// backward closure from the goal states; a state outside the closure is
-  /// "dead" (the system can no longer recover from it). The table backend
-  /// policy applies here as it does to check()/find_state().
+  /// "dead" (the system can no longer recover from it).
   RecoverabilityResultT<State> check_recoverability(
       const Goal& goal, std::uint64_t max_states = 10'000'000,
       const util::CancelToken* cancel = nullptr) const {
@@ -508,31 +552,87 @@ class Checker {
                        &graph, &goal)
                        .stats;
     detail::close_recoverability(*model_, table, graph, &result);
-    result.stats.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    result.stats.seconds = seconds_since(t0);
     return result;
   }
 
  private:
   using Table = TableT<detail::BfsNode>;
 
+  /// Direct-mapped cache of recently inserted successors, valid within one
+  /// level expansion of one chunk (slot indices are stable between level
+  /// barriers). An empty entry is marked by kNoSlot, which a successful
+  /// insert can never return. Indexed by the caller's memoized raw hash,
+  /// so a cache probe never re-hashes the key.
+  struct DedupCache {
+    static constexpr std::size_t kSize = 1u << 12;
+
+    std::vector<util::PackedState> keys =
+        std::vector<util::PackedState>(kSize);
+    std::vector<std::uint32_t> slots =
+        std::vector<std::uint32_t>(kSize, Table::kNoSlot);
+
+    void reset() {
+      std::fill(slots.begin(), slots.end(), Table::kNoSlot);
+    }
+    std::uint32_t lookup(const util::PackedState& key,
+                         std::size_t raw_hash) const {
+      const std::size_t h = raw_hash & (kSize - 1);
+      return slots[h] != Table::kNoSlot && keys[h] == key ? slots[h]
+                                                          : Table::kNoSlot;
+    }
+    void remember(const util::PackedState& key, std::size_t raw_hash,
+                  std::uint32_t slot) {
+      const std::size_t h = raw_hash & (kSize - 1);
+      keys[h] = key;
+      slots[h] = slot;
+    }
+  };
+
+  /// First hit within a task's chunk, ordered by (frontier index,
+  /// successor index); chunks are contiguous, so the per-task first hit is
+  /// the per-task minimum and the cross-task minimum is the level minimum.
+  struct Hit {
+    std::uint64_t frontier_index = UINT64_MAX;
+    std::uint32_t slot = Table::kNoSlot;  ///< violating state / goal state
+    std::uint32_t choice = 0;             ///< violating transition's choice
+  };
+
+  static double seconds_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  }
+
+  /// Grows `table` (detail::grow_table rewrites the parent links), then
+  /// rewrites the slot references the run holds: the current frontier and
+  /// (for recoverability) the recorded graph. Single-threaded; called only
+  /// at level barriers.
+  template <class Drop>
+  static void grow(Table& table, std::size_t needed,
+                   std::vector<std::uint32_t>& level, detail::BfsGraph* graph,
+                   Drop&& drop) {
+    std::vector<std::uint32_t> remap =
+        detail::grow_table(table, needed, std::forward<Drop>(drop));
+    for (std::uint32_t& s : level) s = remap[s];
+    if (graph) graph->remap(remap);
+  }
+
   // Level-synchronized BFS: the frontier is expanded one full depth level
-  // at a time, and a violation/goal found at level d is reported only after
-  // every state of level d has been expanded and all its successors
-  // recorded. Within a level the first hit in frontier order wins, which is
-  // the same transition the classic pop-one-state BFS would report — but
-  // the level-complete accounting makes states_explored, transitions and
-  // max_depth functions of the state graph alone, independent of intra-
-  // level visit order. ParallelChecker implements the identical semantics
-  // with the level split across threads, so the two engines can be
-  // cross-validated field-for-field (see docs/CHECKER.md).
+  // at a time, split into contiguous chunks (one per pool thread), and a
+  // violation/goal found at level d is reported only after every state of
+  // level d has been expanded and all its successors recorded. Within a
+  // level the first hit in frontier order wins, which is the transition
+  // the classic pop-one-state FIFO BFS would report — and the level-
+  // complete accounting makes states_explored, transitions and max_depth
+  // functions of the state graph alone, independent of the thread count
+  // (see docs/CHECKER.md).
   //
-  // The visited set lives in a slot table (the TableT policy), like the
-  // parallel engine's: the frontier holds slot indices, parents are slot
-  // links, and growth remaps them — in place, mid-level, since exactly one
-  // thread is active here (the parallel engine instead drops the partial
-  // level and retries at the barrier).
+  // Capacity grows by rebuilding at level barriers, where exactly one
+  // thread is active; if a level overflows the table mid-flight, the
+  // partially inserted level is dropped during the rebuild and the level
+  // is re-expanded (insert-if-absent makes the retry idempotent; the
+  // re-expansion's hashes are surfaced in CheckStats::hash_recomputes).
   //
   // With `graph` set (check_recoverability), the pass records every
   // transition into it and tags the states satisfying `tag_goal`. The
@@ -546,26 +646,24 @@ class Checker {
                           const Goal* tag_goal = nullptr) const {
     const auto t0 = std::chrono::steady_clock::now();
     CheckResultT<State> result;
+    const CheckpointConfig* ckpt = graph ? nullptr : checkpoint;
     const CheckpointData::Mode ckpt_mode =
         violation ? CheckpointData::Mode::kSafetyCheck
                   : CheckpointData::Mode::kFindState;
-    if (graph) checkpoint = nullptr;
 
     auto finish = [&](Verdict verdict) {
       result.verdict = verdict;
       result.stats.states_explored = table.size();
       detail::fill_table_stats(table, &result.stats);
-      result.stats.seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
+      result.stats.seconds = seconds_since(t0);
     };
 
     std::vector<std::uint32_t> level;
     std::uint32_t start_depth = 0;
-    if (checkpoint) {
-      detail::restore_wavefront(*checkpoint, ckpt_mode, table, &level,
+    if (ckpt) {
+      detail::restore_wavefront(*ckpt, ckpt_mode, table, &level,
                                 &start_depth, &result.stats,
-                                /*frontier_headroom=*/0);
+                                growth_headroom_);
     }
     if (!result.stats.resumed) {
       State init = model_->initial();
@@ -580,7 +678,23 @@ class Checker {
       }
     }
 
+    const unsigned tasks = pool_.size();
+    // Per-chunk, per-level successor dedup: a direct-mapped cache of the
+    // most recent packed successors this chunk inserted during the current
+    // level, mapping to their table slots. Many choice combinations of one
+    // frontier state collapse to the same next state, so skipping the
+    // table's CAS + probe for those repeats cuts shared-table traffic
+    // without changing any observable result: a cache hit implies the
+    // state is already in the table (inserted == false), and the cached
+    // slot keeps recoverability edge recording exact. Slots are stable
+    // within a level (the table only rebuilds at level barriers), and the
+    // cache is reset whenever a chunk starts a level.
+    std::vector<DedupCache> dedup(tasks);
     bool was_cancelled = false;
+    // Set when a level overflowed and is being re-expanded; the successful
+    // pass re-hashes every successor the dropped pass already hashed, and
+    // that cost is surfaced in hash_recomputes when the retry completes.
+    bool retried_level = false;
     for (std::uint32_t depth = start_depth;; ++depth) {
       if (table.size() > max_states) {
         result.stats.exhausted = false;
@@ -592,111 +706,208 @@ class Checker {
       }
       TTA_CHECK(depth < UINT16_MAX);  // BfsNode stores depth as u16
       result.stats.max_depth = depth;
-
-      // First violating transition (frontier order) and first discovered
-      // goal state in this level, if any — tracked as slots, remapped on
-      // growth.
-      bool violation_found = false;
-      std::uint32_t violation_slot = Table::kNoSlot;
-      std::uint32_t violation_choice = 0;
-      bool goal_found = false;
-      std::uint32_t goal_slot = Table::kNoSlot;
-
-      std::vector<std::uint32_t> next_level;
-      if (graph) {
-        graph->rows.insert(graph->rows.end(), level.begin(), level.end());
-      }
-      for (std::size_t i = 0; i < level.size(); ++i) {
-        if (cancel && cancel->cancelled()) {
-          was_cancelled = true;
-          break;
-        }
-        std::uint32_t cur_slot = level[i];
-        State cur = model_->unpack(table.key_at(cur_slot));
-        for (const auto& succ : model_->successors(cur)) {
-          ++result.stats.transitions;
-          if (violation && !violation_found &&
-              (*violation)(cur, succ.next)) {
-            violation_found = true;
-            violation_slot = cur_slot;
-            violation_choice = succ.choice_code;
-          }
-          util::PackedState next_packed = model_->pack(succ.next);
-          const typename Table::Hashed hashed = table.hash(next_packed);
-          detail::BfsNode node{cur_slot, succ.choice_code,
-                               static_cast<std::uint16_t>(depth + 1), 0};
-          typename Table::Insert r = table.insert(next_packed, node, hashed);
-          if (r.slot == Table::kNoSlot) {
-            // In-place growth: single-threaded, so remap every slot index
-            // in flight and retry the same insert with the same memoized
-            // hash — no transition is recounted, no level is redone.
-            // Room for twice the size quadruples the capacity (few
-            // rebuilds). A recoverability pass keeps its table through the
-            // closure, so it only doubles (asking for max_load() doubles
-            // even when the compact backend saturates below its ceiling).
-            std::vector<std::uint32_t> remap = detail::grow_table(
-                table, graph ? table.max_load() : table.size() * 2,
-                detail::KeepAll{});
-            for (std::uint32_t& s : level) s = remap[s];
-            for (std::uint32_t& s : next_level) s = remap[s];
-            if (graph) graph->remap(remap);
-            if (violation_found) violation_slot = remap[violation_slot];
-            if (goal_found) goal_slot = remap[goal_slot];
-            cur_slot = remap[cur_slot];
-            node.parent = cur_slot;
-            r = table.insert(next_packed, node, hashed);
-            TTA_CHECK(r.slot != Table::kNoSlot);
-          }
-          if (r.inserted) {
-            next_level.push_back(r.slot);
-            if (tag_goal && (*tag_goal)(succ.next)) {
-              table.value_at(r.slot).flags |= detail::kBfsGoalFlag;
-            }
-            if (goal && !goal_found && (*goal)(succ.next)) {
-              goal_found = true;
-              goal_slot = r.slot;
-            }
-          }
-          if (graph) graph->targets.push_back(r.slot);
-        }
-        if (graph) graph->end_row();
+      // Proactive growth: leave headroom for a level that discovers up to
+      // growth_headroom_ (~4) new states per frontier state, generous for
+      // this model family. A level that still outgrows the table aborts
+      // and retries below.
+      const std::size_t headroom =
+          table.size() + growth_headroom_ * level.size();
+      if (headroom >= table.max_load()) {
+        grow(table, headroom, level, graph, detail::KeepAll{});
       }
 
-      if (was_cancelled) {
-        // The level is half-expanded, so neither a verdict nor a minimal
-        // counterexample can be reported; bail out with partial stats.
+      std::vector<std::vector<std::uint32_t>> next(tasks);
+      // Recoverability: each chunk's edge targets, and the end offset of
+      // each of its rows within them.
+      std::vector<std::vector<std::uint32_t>> new_targets(tasks);
+      std::vector<std::vector<std::uint32_t>> new_row_ends(tasks);
+      std::vector<std::uint64_t> transitions(tasks, 0);
+      std::vector<std::uint64_t> dedup_skips(tasks, 0);
+      std::vector<Hit> violation_hit(tasks);
+      std::vector<Hit> goal_hit(tasks);
+      std::atomic<bool> overflow{false};
+      std::atomic<bool> cancelled_mid_level{false};
+
+      pool_.parallel_for(
+          level.size(),
+          [&](unsigned chunk, std::size_t begin, std::size_t end) {
+            // Work on chunk-local state; publish into the index-addressed
+            // output slots once at the end (avoids false sharing on the
+            // hot transition counter).
+            std::vector<std::uint32_t> my_next;
+            std::vector<std::uint32_t> my_targets;
+            std::vector<std::uint32_t> my_row_ends;
+            std::uint64_t my_transitions = 0;
+            std::uint64_t my_dedup_skips = 0;
+            Hit my_violation, my_goal;
+            DedupCache& dd = dedup[chunk];
+            dd.reset();
+            for (std::size_t i = begin; i < end; ++i) {
+              if (overflow.load(std::memory_order_relaxed)) break;
+              if (cancel && cancel->cancelled()) {
+                cancelled_mid_level.store(true, std::memory_order_relaxed);
+                break;
+              }
+              const std::uint32_t cur_slot = level[i];
+              State cur = model_->unpack(table.key_at(cur_slot));
+              for (const auto& succ : model_->successors(cur)) {
+                ++my_transitions;
+                if (violation && my_violation.slot == Table::kNoSlot &&
+                    (*violation)(cur, succ.next)) {
+                  my_violation = Hit{i, cur_slot, succ.choice_code};
+                }
+                util::PackedState packed = model_->pack(succ.next);
+                // Hash once per successor; the token feeds the dedup
+                // cache's index and the table's probe sequence.
+                const typename Table::Hashed hashed = table.hash(packed);
+                if (std::uint32_t cached = dd.lookup(packed, hashed.raw());
+                    cached != Table::kNoSlot) {
+                  // Dedup hit: this chunk already inserted `packed` during
+                  // this level, so the insert would report inserted ==
+                  // false and return the cached slot — skip it entirely.
+                  ++my_dedup_skips;
+                  if (graph) my_targets.push_back(cached);
+                  continue;
+                }
+                detail::BfsNode info{cur_slot, succ.choice_code,
+                                     static_cast<std::uint16_t>(depth + 1),
+                                     0};
+                if (tag_goal && (*tag_goal)(succ.next)) {
+                  info.flags |= detail::kBfsGoalFlag;
+                }
+                typename Table::Insert r = table.insert(packed, info, hashed);
+                if (r.slot == Table::kNoSlot) {
+                  overflow.store(true, std::memory_order_relaxed);
+                  break;
+                }
+                dd.remember(packed, hashed.raw(), r.slot);
+                if (graph) my_targets.push_back(r.slot);
+                if (r.inserted) {
+                  my_next.push_back(r.slot);
+                  if (goal && my_goal.slot == Table::kNoSlot &&
+                      (*goal)(succ.next)) {
+                    my_goal = Hit{i, r.slot, 0};
+                  }
+                }
+              }
+              if (overflow.load(std::memory_order_relaxed)) break;
+              if (graph) {
+                my_row_ends.push_back(
+                    static_cast<std::uint32_t>(my_targets.size()));
+              }
+            }
+            next[chunk] = std::move(my_next);
+            new_targets[chunk] = std::move(my_targets);
+            new_row_ends[chunk] = std::move(my_row_ends);
+            transitions[chunk] = my_transitions;
+            dedup_skips[chunk] = my_dedup_skips;
+            violation_hit[chunk] = my_violation;
+            goal_hit[chunk] = my_goal;
+          });
+
+      if (cancelled_mid_level.load(std::memory_order_relaxed)) {
+        // The level is half-expanded: neither a verdict nor a minimal
+        // counterexample can be reported. Bail out with partial stats.
+        for (unsigned c = 0; c < tasks; ++c) {
+          result.stats.transitions += transitions[c];
+          result.stats.dedup_skips += dedup_skips[c];
+        }
+        was_cancelled = true;
         break;
       }
 
-      if (violation_found) {
-        // Counterexample: path to the violating state plus the violating
-        // transition itself.
-        std::vector<TraceStepT<State>> steps =
-            detail::reconstruct_trace(*model_, table, violation_slot);
-        TraceStepT<State> final_step;
-        final_step.before = model_->unpack(table.key_at(violation_slot));
-        auto [next, label] = model_->apply(final_step.before,
-                                           violation_choice);
-        final_step.label = label;
-        final_step.after = next;
-        steps.push_back(final_step);
-        result.trace = std::move(steps);
-        finish(Verdict::kViolated);
-        return result;
+      if (overflow.load(std::memory_order_relaxed)) {
+        // The level half-finished: drop its partial discoveries, grow, and
+        // re-expand the same level from scratch. Dropped entries all have
+        // depth == depth + 1, so no surviving parent link can point at
+        // them.
+        const std::uint16_t dropped_depth =
+            static_cast<std::uint16_t>(depth + 1);
+        grow(table, table.size() * 2, level, graph,
+             [dropped_depth](const detail::BfsNode& info) {
+               return info.depth == dropped_depth;
+             });
+        retried_level = true;
+        --depth;  // redo this level
+        continue;
       }
-      if (goal_found) {
-        result.trace = detail::reconstruct_trace(*model_, table, goal_slot);
-        finish(Verdict::kViolated);
-        return result;
+
+      for (unsigned c = 0; c < tasks; ++c) {
+        result.stats.transitions += transitions[c];
+        result.stats.dedup_skips += dedup_skips[c];
       }
-      if (next_level.empty()) break;
+      if (retried_level) {
+        // Every successor of this level was hashed at least twice: once in
+        // the pass that overflowed and again in this completed one.
+        for (unsigned c = 0; c < tasks; ++c) {
+          result.stats.hash_recomputes += transitions[c];
+        }
+        retried_level = false;
+      }
+
+      if (violation) {
+        Hit best;
+        for (const Hit& h : violation_hit) {
+          if (h.frontier_index < best.frontier_index) best = h;
+        }
+        if (best.slot != Table::kNoSlot) {
+          // Counterexample: path to the violating state plus the violating
+          // transition itself. Minimal depth is guaranteed because every
+          // earlier level completed without a hit.
+          std::vector<TraceStepT<State>> steps =
+              detail::reconstruct_trace(*model_, table, best.slot);
+          TraceStepT<State> final_step;
+          final_step.before = model_->unpack(table.key_at(best.slot));
+          auto [nxt, label] = model_->apply(final_step.before, best.choice);
+          final_step.label = label;
+          final_step.after = nxt;
+          steps.push_back(final_step);
+          result.trace = std::move(steps);
+          finish(Verdict::kViolated);
+          return result;
+        }
+      }
+      if (goal) {
+        Hit best;
+        for (const Hit& h : goal_hit) {
+          if (h.frontier_index < best.frontier_index) best = h;
+        }
+        if (best.slot != Table::kNoSlot) {
+          result.trace = detail::reconstruct_trace(*model_, table,
+                                                   best.slot);
+          finish(Verdict::kViolated);
+          return result;
+        }
+      }
+
+      std::size_t total = 0;
+      for (const auto& chunk : next) total += chunk.size();
+      if (graph) {
+        // Chunks are contiguous frontier ranges, so concatenating them in
+        // chunk order appends this level's rows in frontier order.
+        graph->rows.insert(graph->rows.end(), level.begin(), level.end());
+        for (unsigned c = 0; c < tasks; ++c) {
+          const std::size_t base = graph->targets.size();
+          TTA_CHECK(base + new_targets[c].size() < UINT32_MAX);
+          for (std::uint32_t end : new_row_ends[c]) {
+            graph->offsets.push_back(static_cast<std::uint32_t>(base + end));
+          }
+          graph->targets.insert(graph->targets.end(), new_targets[c].begin(),
+                                new_targets[c].end());
+        }
+      }
+      if (total == 0) break;
+      std::vector<std::uint32_t> next_level;
+      next_level.reserve(total);
+      for (const auto& chunk : next) {
+        next_level.insert(next_level.end(), chunk.begin(), chunk.end());
+      }
       level = std::move(next_level);
-      // Level barrier: persist the wavefront so a later run — after a
-      // crash, a fired deadline, or a budget bail — continues from here
-      // instead of re-exploring everything. Best-effort by design.
-      if (checkpoint &&
-          (depth + 1) % std::max(1u, checkpoint->every_levels) == 0) {
-        save_checkpoint(*checkpoint,
+      // Level barrier (single-threaded here): persist the wavefront so an
+      // interrupted run — after a crash, a fired deadline, or a budget
+      // bail — resumes instead of re-exploring. Best-effort by design.
+      if (ckpt && (depth + 1) % std::max(1u, ckpt->every_levels) == 0) {
+        save_checkpoint(*ckpt,
                         detail::snapshot_wavefront(table, level, depth + 1,
                                                    result.stats, ckpt_mode));
       }
@@ -712,7 +923,9 @@ class Checker {
   }
 
   const Model* model_;
+  mutable util::ThreadPool pool_;
   std::size_t initial_capacity_;
+  std::size_t growth_headroom_ = 4;
 };
 
 }  // namespace tta::mc

@@ -3,7 +3,6 @@
 #include <thread>
 #include <utility>
 
-#include "mc/parallel_checker.h"
 #include "util/compact_state_table.h"
 
 namespace tta::mc {
@@ -31,26 +30,31 @@ EngineResult from_recoverability(RecoverabilityResult&& res) {
   return out;
 }
 
-/// One query dispatch over an already-constructed checker (either engine,
-/// either table backend — the checkers share the query surface).
-template <class Checker>
-EngineResult dispatch(const Checker& checker, const EngineQuery& query,
+/// One query on the BFS core at `threads` workers; the flat/compact table
+/// switch for every engine lives here.
+EngineResult run_core(const TtpcStarModel& model, unsigned threads,
+                      TableBackend table, const EngineQuery& query,
                       const util::CancelToken* cancel,
                       const CheckpointConfig* checkpoint) {
-  switch (query.kind) {
-    case EngineQuery::Kind::kSafetyCheck:
-      return from_check(
-          checker.check(query.violation, query.max_states, cancel,
-                        checkpoint));
-    case EngineQuery::Kind::kFindState:
-      return from_check(
-          checker.find_state(query.goal, query.max_states, cancel,
-                             checkpoint));
-    case EngineQuery::Kind::kRecoverability:
-      return from_recoverability(
-          checker.check_recoverability(query.goal, query.max_states, cancel));
+  auto dispatch = [&](const auto& checker) {
+    switch (query.kind) {
+      case EngineQuery::Kind::kSafetyCheck:
+        return from_check(checker.check(query.violation, query.max_states,
+                                        cancel, checkpoint));
+      case EngineQuery::Kind::kFindState:
+        return from_check(checker.find_state(query.goal, query.max_states,
+                                             cancel, checkpoint));
+      case EngineQuery::Kind::kRecoverability:
+        return from_recoverability(checker.check_recoverability(
+            query.goal, query.max_states, cancel));
+    }
+    return EngineResult{};  // unreachable
+  };
+  if (table == TableBackend::kCompact) {
+    return dispatch(Checker<TtpcStarModel, util::CompactStateTable>(
+        model, Threads{threads}));
   }
-  return EngineResult{};  // unreachable
+  return dispatch(Checker<TtpcStarModel>(model, Threads{threads}));
 }
 
 }  // namespace
@@ -59,25 +63,15 @@ EngineResult SerialEngine::run(const TtpcStarModel& model,
                                const EngineQuery& query,
                                const util::CancelToken* cancel,
                                const CheckpointConfig* checkpoint) const {
-  if (options_.table == TableBackend::kCompact) {
-    Checker<TtpcStarModel, util::CompactStateTable> checker(model);
-    return dispatch(checker, query, cancel, checkpoint);
-  }
-  Checker<TtpcStarModel> checker(model);
-  return dispatch(checker, query, cancel, checkpoint);
+  return run_core(model, 1, options_.table, query, cancel, checkpoint);
 }
 
 EngineResult ParallelEngine::run(const TtpcStarModel& model,
                                  const EngineQuery& query,
                                  const util::CancelToken* cancel,
                                  const CheckpointConfig* checkpoint) const {
-  if (options_.table == TableBackend::kCompact) {
-    ParallelChecker<TtpcStarModel, util::CompactStateTable> checker(model,
-                                                                    threads_);
-    return dispatch(checker, query, cancel, checkpoint);
-  }
-  ParallelChecker<TtpcStarModel> checker(model, threads_);
-  return dispatch(checker, query, cancel, checkpoint);
+  return run_core(model, threads_, options_.table, query, cancel,
+                  checkpoint);
 }
 
 RedundantEngine::RedundantEngine(std::unique_ptr<Engine> reference,

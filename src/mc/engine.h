@@ -1,5 +1,5 @@
 // The unified engine interface: one `run(model, query) -> result` surface
-// over the serial reference Checker, the lock-free ParallelChecker, and
+// over the one BFS core (mc::Checker) at one thread and at N threads, and
 // their redundant cross-checked composition.
 //
 // Callers above this line (the verification service) schedule *engines*,
@@ -9,7 +9,7 @@
 // so a TMR tiebreaker is a third wrapped engine away, not a new switch
 // arm in every dispatch site.
 //
-// Engines keep the contracts of the classes they wrap (docs/CHECKER.md):
+// Engines keep the contracts of the Checker they wrap (docs/CHECKER.md):
 // bit-identical verdicts and exploration statistics between SerialEngine
 // and ParallelEngine at any thread count, cooperative cancellation via
 // util::CancelToken, and checkpoint/resume at BFS level barriers where
@@ -76,7 +76,8 @@ class Engine {
                            const CheckpointConfig* checkpoint) const = 0;
 };
 
-/// The single-threaded reference Checker behind the Engine interface.
+/// The Checker at one thread behind the Engine interface: the expansion
+/// order is the FIFO BFS order, so its traces are the canonical ones.
 /// `options.table` selects the visited-table backend (flat/compact); both
 /// backends are contractually bit-identical, so the choice is invisible in
 /// the result and only moves the memory/throughput tradeoff.
@@ -94,7 +95,7 @@ class SerialEngine final : public Engine {
   CheckOptions options_;
 };
 
-/// The level-synchronized ParallelChecker behind the Engine interface.
+/// The Checker at `threads` workers behind the Engine interface.
 class ParallelEngine final : public Engine {
  public:
   /// `threads` == 0 picks the hardware concurrency.

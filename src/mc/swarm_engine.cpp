@@ -167,9 +167,9 @@ void race_worker(const TtpcStarModel& model, const EngineQuery& query,
 
 /// Replays a raw win through the model's own apply() — the proof that the
 /// randomized search found a real violating path, independent of its
-/// private bookkeeping. The canonical result still comes from the serial
+/// private bookkeeping. The canonical result still comes from the 1-thread
 /// checker afterwards; this gate only decides whether the race counts as
-/// won (and whether the serial canonicalization is justified to a reader
+/// won (and whether the canonical replay is justified to a reader
 /// of the swarm_race_won diagnostic).
 bool validate_raw_win(const TtpcStarModel& model, const EngineQuery& query,
                       const std::vector<std::uint32_t>& choices) {
@@ -230,9 +230,10 @@ EngineResult SwarmEngine::run(const TtpcStarModel& model,
   EngineResult sweep_result;
   std::vector<std::thread> threads;
   threads.reserve(racers_ + 1);
-  // The exhaustive sweep: the standard ParallelChecker run whose HOLDS
-  // (and statistics) are bit-identical to the serial engine. It races on
-  // the shared token like everyone else, and trips it when conclusive.
+  // The exhaustive sweep: the standard Checker run at `sweep_threads_`,
+  // whose HOLDS (and statistics) are bit-identical to the 1-thread run. It
+  // races on the shared token like everyone else, and trips it when
+  // conclusive.
   threads.emplace_back([&] {
     sweep_result = ParallelEngine(sweep_threads_, options_)
                        .run(model, query, &shared.race, nullptr);
@@ -278,7 +279,7 @@ EngineResult SwarmEngine::run(const TtpcStarModel& model,
   } else if (race_won && !(cancel && cancel->cancelled_now())) {
     // A racer won: the raw randomized trace replayed clean, so the
     // violation is real — but its path is an artifact of one shuffle.
-    // Canonicalize through the serial checker: the reported verdict,
+    // Canonicalize through the 1-thread checker: the reported verdict,
     // statistics, and shortest counterexample are bit-identical to
     // SerialEngine's, independent of which ordering won the race. The
     // caller's token still applies, so a deadline firing here yields an

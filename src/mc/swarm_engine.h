@@ -1,7 +1,7 @@
 // Swarm counterexample racing: N workers explore the same state space
 // under independently seeded randomized successor orderings — even-index
 // workers run randomized DFS, odd-index workers run shuffled-frontier
-// BFS — racing one concurrent exhaustive ParallelChecker sweep to the
+// BFS — racing one concurrent exhaustive mc::Checker sweep to the
 // first property violation. The first finder trips a shared
 // util::CancelToken and the losers stand down (LTSmin multi-core style:
 // a VIOLATED configuration concludes as soon as ANY ordering stumbles
@@ -12,13 +12,14 @@
 // whatever ordering wins, the REPORTED result is canonical. A raw racer
 // trace is first replayed choice-code by choice-code through
 // Model::apply() to prove it is a real violating path, then discarded in
-// favor of a fresh serial mc::Checker run whose verdict, statistics, and
+// favor of a fresh 1-thread mc::Checker run whose verdict, statistics, and
 // shortest counterexample are bit-identical to SerialEngine's — so
 // mc::cross_check against any other engine stays clean and the trace
 // length is a function of the state graph alone, not of race timing.
 // HOLDS can only come from the exhaustive sweep (a racer that drains its
 // reachable set proves nothing the sweep will not also prove), and is
-// reported verbatim — bit-identical by the parallel engine's contract.
+// reported verbatim — bit-identical at any thread count by the Checker's
+// contract.
 //
 // Worker seeds derive counter-style from one spec-level seed (pure in
 // (seed, worker)), so a swarm win is replayable: the same seed races the
@@ -40,7 +41,7 @@ std::uint64_t swarm_worker_seed(std::uint64_t seed, unsigned worker);
 class SwarmEngine final : public Engine {
  public:
   /// `racers` randomized workers (>= 1; even indices run randomized DFS,
-  /// odd indices shuffled-frontier BFS) race one ParallelChecker sweep on
+  /// odd indices shuffled-frontier BFS) race one mc::Checker sweep on
   /// `sweep_threads` threads. `seed` is the spec-level seed the per-worker
   /// seeds derive from; it is an execution hint (digest-invariant) because
   /// the reported result is canonicalized independent of who won.

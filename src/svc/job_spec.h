@@ -48,8 +48,8 @@ enum class Property : std::uint8_t {
 };
 
 enum class EngineChoice : std::uint8_t {
-  kSerial = 0,    ///< single-threaded reference Checker
-  kParallel = 1,  ///< level-synchronized ParallelChecker
+  kSerial = 0,    ///< mc::Checker at one thread (canonical traces)
+  kParallel = 1,  ///< mc::Checker at `threads` workers
   kAuto = 2,      ///< service picks by estimated cost
   /// Mirrors the paper's dual star couplers: the same query runs on BOTH
   /// engines concurrently and the verdicts + statistics are cross-checked.
@@ -61,7 +61,7 @@ enum class EngineChoice : std::uint8_t {
   /// Counterexample racing: seeded randomized workers (randomized DFS +
   /// shuffled-frontier BFS) race an exhaustive parallel sweep to the first
   /// violation; the winner trips a shared cancel token and the raw trace is
-  /// canonicalized through the serial checker, so verdicts, statistics, and
+  /// canonicalized through the 1-thread checker, so verdicts, statistics, and
   /// trace lengths match every other engine (docs/CHECKER.md). Fast
   /// time-to-counterexample on VIOLATED configs; HOLDS costs one sweep.
   kSwarm = 4,
@@ -99,7 +99,7 @@ struct JobSpec {
 
   /// Spec-level seed for the swarm engine's per-worker seed derivation
   /// (mc::swarm_worker_seed). An execution hint like engine/threads: the
-  /// swarm engine canonicalizes its answer through the serial checker, so
+  /// swarm engine canonicalizes its answer through the 1-thread checker, so
   /// the seed can only move diagnostics, never the verdict or trace —
   /// excluded from canonical_bytes()/digest(). Ignored by other engines.
   std::uint64_t seed = 0;

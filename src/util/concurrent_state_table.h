@@ -19,7 +19,7 @@
 // synchronization point: rebuild() single-threadedly rehashes into a larger
 // slot array (optionally dropping entries) and returns the old-slot ->
 // new-slot remapping so callers can rewrite stored slot references. The
-// level-synchronized BFS in mc/parallel_checker.h grows the table only at
+// level-synchronized BFS in mc/checker.h grows the table only at
 // level barriers, where exactly one thread is active.
 #pragma once
 

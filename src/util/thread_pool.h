@@ -1,9 +1,9 @@
 // Persistent worker-thread pool with a fork-join task API.
 //
-// Shared by the parallel model checker (src/mc/parallel_checker.h), which
-// dispatches one task per frontier chunk at every BFS level, and by the
-// statistical campaign benches, which run independent seeded simulation
-// cells concurrently. Determinism is preserved by construction: tasks are
+// Shared by the model checker (src/mc/checker.h), which dispatches one
+// task per frontier chunk at every BFS level, and by the statistical
+// campaign benches, which run independent seeded simulation cells
+// concurrently. Determinism is preserved by construction: tasks are
 // identified by index and write only to index-addressed output slots, so
 // results are identical to a sequential loop regardless of scheduling.
 //

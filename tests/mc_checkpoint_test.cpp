@@ -1,4 +1,4 @@
-// Checkpoint/resume for both BFS engines: an interrupted run resumed from
+// Checkpoint/resume for the BFS engine: an interrupted run resumed from
 // its last level barrier must reach a bit-identical result — same verdict,
 // same states/transitions/max_depth, same counterexample — and a damaged,
 // mismatched, or missing checkpoint must fail softly (fresh start), never
@@ -10,11 +10,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mc/checker.h"
 #include "mc/checkpoint.h"
-#include "mc/parallel_checker.h"
 #include "util/compact_state_table.h"
 #include "util/fail_point.h"
 
@@ -307,13 +307,13 @@ TEST(SerialResume, FindStateResumesToSameWitness) {
 
 TEST(ParallelResume, SafetyCheckResumesBitIdentical) {
   TtpcStarModel model(config(guardian::Authority::kPassive));
-  ParallelChecker baseline_checker(model, 4);
+  Checker baseline_checker(model, Threads{4});
   const auto baseline =
       baseline_checker.check(no_integrated_node_freezes());
   ASSERT_EQ(baseline.verdict, Verdict::kHolds);
 
   CheckpointConfig cfg{test_path("psafety.ckpt"), 0xFEED, 1};
-  ParallelChecker checker(model, 4);
+  Checker checker(model, Threads{4});
   auto partial = checker.check(no_integrated_node_freezes(),
                                /*max_states=*/20'000, nullptr, &cfg);
   ASSERT_EQ(partial.verdict, Verdict::kInconclusive);
@@ -329,10 +329,10 @@ TEST(ParallelResume, SafetyCheckResumesBitIdentical) {
 }
 
 TEST(ParallelResume, ViolatedTraceSurvivesEngineHandoff) {
-  // The checkpoint format is engine-agnostic: a wavefront saved by the
-  // serial engine resumes under the parallel engine (and vice versa) to
-  // the same verdict and the same trace shape, because both engines honor
-  // the serialized frontier order.
+  // The checkpoint format is thread-count-agnostic: a wavefront saved at
+  // one thread resumes at four (and vice versa) to the same verdict and
+  // the same trace shape, because every run honors the serialized
+  // frontier order.
   TtpcStarModel model(config(guardian::Authority::kFullShifting));
   const auto baseline = Checker(model).check(no_integrated_node_freezes());
   ASSERT_EQ(baseline.verdict, Verdict::kViolated);
@@ -342,7 +342,7 @@ TEST(ParallelResume, ViolatedTraceSurvivesEngineHandoff) {
                                       /*max_states=*/10'000, nullptr, &cfg);
   ASSERT_EQ(partial.verdict, Verdict::kInconclusive);
 
-  ParallelChecker checker(model, 4);
+  Checker checker(model, Threads{4});
   auto resumed = checker.check(no_integrated_node_freezes(),
                                /*max_states=*/50'000'000, nullptr, &cfg);
   EXPECT_TRUE(resumed.stats.resumed);
@@ -506,6 +506,110 @@ TEST(Resume, CorruptCheckpointMeansFreshStartNotCrash) {
   const auto plain = Checker(model).check(no_integrated_node_freezes());
   EXPECT_EQ(res.stats.states_explored, plain.stats.states_explored);
 }
+
+/// A checkpoint whose file is intact — valid CRC, magic, binding and mode,
+/// written by save_checkpoint — but whose contents do not describe a BFS
+/// wavefront. Restore must reject it softly: the run starts fresh and
+/// ends exactly like a run that never saw a checkpoint.
+enum class Inconsistency {
+  kDuplicateKey,
+  kDanglingParent,
+  kDepthOverflow,
+  kMissingFrontierKey,
+  kSelfParent,  ///< a parent cycle: trace reconstruction would never end
+  kNextDepthOverflow,
+};
+
+class InconsistentCheckpointTest
+    : public testing::TestWithParam<std::tuple<Inconsistency, unsigned>> {};
+
+TEST_P(InconsistentCheckpointTest, RestoreRejectsAndStartsFresh) {
+  const auto [kind, threads] = GetParam();
+  TtpcStarModel model(config(guardian::Authority::kFullShifting));
+  const Checker checker(model, Threads{threads});
+  const CheckResult baseline = checker.check(no_integrated_node_freezes());
+  ASSERT_EQ(baseline.verdict, Verdict::kViolated);
+
+  // A genuine wavefront, then one targeted inconsistency written back
+  // through save_checkpoint so every file-level check still passes.
+  CheckpointConfig cfg{test_path("inconsistent.ckpt"), 0xD1CE, 1};
+  std::filesystem::remove(cfg.path);
+  ASSERT_EQ(checker
+                .check(no_integrated_node_freezes(), /*max_states=*/2'000,
+                       nullptr, &cfg)
+                .verdict,
+            Verdict::kInconclusive);
+  CheckpointData data;
+  ASSERT_TRUE(
+      load_checkpoint(cfg, &data, CheckpointData::Mode::kSafetyCheck));
+  const auto non_root = std::find_if(
+      data.visited.begin(), data.visited.end(), [](const CheckpointEntry& e) {
+        return !(e.flags & CheckpointEntry::kRootFlag);
+      });
+  ASSERT_NE(non_root, data.visited.end());
+  util::PackedState absent = non_root->key;
+  absent.words[0] ^= 1;
+  for (const CheckpointEntry& e : data.visited) ASSERT_NE(e.key, absent);
+  switch (kind) {
+    case Inconsistency::kDuplicateKey: {
+      const CheckpointEntry duplicate = *non_root;
+      data.visited.push_back(duplicate);
+      break;
+    }
+    case Inconsistency::kDanglingParent:
+      non_root->parent = absent;
+      break;
+    case Inconsistency::kDepthOverflow:
+      non_root->depth = UINT16_MAX + 1u;
+      break;
+    case Inconsistency::kMissingFrontierKey:
+      data.frontier.push_back(absent);
+      break;
+    case Inconsistency::kSelfParent:
+      non_root->parent = non_root->key;
+      break;
+    case Inconsistency::kNextDepthOverflow:
+      data.next_depth = UINT16_MAX;
+      break;
+  }
+  ASSERT_TRUE(save_checkpoint(cfg, data));
+  ASSERT_TRUE(
+      load_checkpoint(cfg, &data, CheckpointData::Mode::kSafetyCheck));
+
+  const CheckResult res = checker.check(
+      no_integrated_node_freezes(), /*max_states=*/50'000'000, nullptr, &cfg);
+  EXPECT_FALSE(res.stats.resumed);
+  EXPECT_EQ(res.verdict, baseline.verdict);
+  EXPECT_EQ(res.stats.states_explored, baseline.stats.states_explored);
+  EXPECT_EQ(res.stats.transitions, baseline.stats.transitions);
+  EXPECT_EQ(res.stats.max_depth, baseline.stats.max_depth);
+  ASSERT_EQ(res.trace.size(), baseline.trace.size());
+  if (threads == 1) {
+    for (std::size_t i = 0; i < baseline.trace.size(); ++i) {
+      EXPECT_EQ(res.trace[i].after, baseline.trace[i].after) << i;
+    }
+  }
+}
+
+std::string inconsistency_name(
+    const testing::TestParamInfo<std::tuple<Inconsistency, unsigned>>& info) {
+  static const char* const kNames[] = {
+      "DuplicateKey", "DanglingParent", "DepthOverflow", "MissingFrontierKey",
+      "SelfParent", "NextDepthOverflow"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + std::to_string(std::get<1>(info.param)) + "threads";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Restore, InconsistentCheckpointTest,
+    testing::Combine(testing::Values(Inconsistency::kDuplicateKey,
+                                     Inconsistency::kDanglingParent,
+                                     Inconsistency::kDepthOverflow,
+                                     Inconsistency::kMissingFrontierKey,
+                                     Inconsistency::kSelfParent,
+                                     Inconsistency::kNextDepthOverflow),
+                     testing::Values(1u, 4u)),
+    inconsistency_name);
 
 }  // namespace
 }  // namespace tta::mc

@@ -11,7 +11,6 @@
 
 #include "mc/checker.h"
 #include "mc/engine.h"
-#include "mc/parallel_checker.h"
 #include "util/compact_state_table.h"
 
 namespace tta::mc {
@@ -34,8 +33,6 @@ std::string test_path(const std::string& name) {
 }
 
 using CompactChecker = Checker<TtpcStarModel, util::CompactStateTable>;
-using CompactParallel = ParallelChecker<TtpcStarModel,
-                                        util::CompactStateTable>;
 
 void expect_identical(const CheckResult& a, const CheckResult& b) {
   EXPECT_EQ(a.verdict, b.verdict);
@@ -67,7 +64,7 @@ TEST(TableBackend, ViolatedTraceLengthsMatchAcrossBackendsAndEngines) {
   const auto compact = CompactChecker(m).check(no_integrated_node_freezes());
   expect_identical(flat, compact);
 
-  CompactParallel parallel(m, 4);
+  CompactChecker parallel(m, Threads{4});
   const auto par = parallel.check(no_integrated_node_freezes());
   expect_identical(flat, par);
 }
@@ -75,7 +72,7 @@ TEST(TableBackend, ViolatedTraceLengthsMatchAcrossBackendsAndEngines) {
 TEST(TableBackend, ParallelCompactMatchesSerialFlat) {
   TtpcStarModel m(config(guardian::Authority::kPassive));
   const auto flat = Checker(m).check(no_integrated_node_freezes());
-  CompactParallel parallel(m, 4);
+  CompactChecker parallel(m, Threads{4});
   const auto compact = parallel.check(no_integrated_node_freezes());
   expect_identical(flat, compact);
 }
@@ -88,7 +85,7 @@ TEST(TableBackend, CompactOverflowRetryPathStaysIdentical) {
   TtpcStarModel m(config(guardian::Authority::kPassive));
   const auto reference = Checker(m).check(no_integrated_node_freezes());
 
-  CompactParallel parallel(m, 2, /*initial_capacity=*/1u << 10);
+  CompactChecker parallel(m, Threads{2}, /*initial_capacity=*/1u << 10);
   parallel.set_growth_headroom(0);
   const auto stressed = parallel.check(no_integrated_node_freezes());
   expect_identical(reference, stressed);
@@ -100,11 +97,11 @@ TEST(TableBackend, HashRecomputesProveMemoization) {
   // Big enough table that no growth happens (110'956 < max_load(2^18)):
   // the memoized fast path recomputes nothing, on either backend.
   const auto flat_roomy =
-      Checker(m, /*initial_capacity=*/1u << 18)
+      Checker(m, Threads{1}, /*initial_capacity=*/1u << 18)
           .check(no_integrated_node_freezes());
   EXPECT_EQ(flat_roomy.stats.hash_recomputes, 0u);
   const auto compact_roomy =
-      CompactChecker(m, /*initial_capacity=*/1u << 18)
+      CompactChecker(m, Threads{1}, /*initial_capacity=*/1u << 18)
           .check(no_integrated_node_freezes());
   EXPECT_EQ(compact_roomy.stats.hash_recomputes, 0u);
 
@@ -154,8 +151,8 @@ TEST(TableBackend, CrossCheckConfirmsNoBackendDivergence) {
 }
 
 TEST(TableBackend, FlatToCompactCheckpointHandoffIsBitIdentical) {
-  // A checkpoint written by the flat serial engine resumes under the
-  // compact backend (and the parallel engine) to the uninterrupted
+  // A checkpoint written on the flat table resumes under the compact
+  // backend (and at four threads) to the uninterrupted
   // reference result: the wavefront format stores full keys, so the
   // handoff is a pure re-insertion.
   TtpcStarModel m(config(guardian::Authority::kPassive));
@@ -176,10 +173,10 @@ TEST(TableBackend, FlatToCompactCheckpointHandoffIsBitIdentical) {
     expect_identical(baseline, resumed);
   }
   {
-    // And the reverse: compact-written, flat-resumed, via the parallel
-    // engine for good measure.
+    // And the reverse: compact-written at four threads, flat-resumed at
+    // one, for good measure.
     CheckpointConfig cfg{test_path("compact_to_flat.ckpt"), 0xC0FFEE, 1};
-    CompactParallel writer(m, 4);
+    CompactChecker writer(m, Threads{4});
     auto partial = writer.check(no_integrated_node_freezes(),
                                 /*max_states=*/20'000, nullptr, &cfg);
     ASSERT_EQ(partial.verdict, Verdict::kInconclusive);
