@@ -9,21 +9,30 @@
 // Checker is generic over the model. A Model must provide:
 //   using State = ...;                 (equality-comparable)
 //   State initial() const;
-//   std::vector<SuccessorT<State>> successors(const State&) const;
+//   void successors(const State&, std::vector<SuccessorT<State>>&) const;
 //   std::pair<State, TransitionLabel> apply(const State&, uint32_t) const;
+//   bool legal_choice(const State&, uint32_t) const;
 //   util::PackedState pack(const State&) const;
 //   State unpack(const util::PackedState&) const;
-// and may provide packed_bits() — the number of significant low bits of
-// its pack() encoding — which the compact table backend uses to quotient
+// successors() fills a caller-owned buffer (the engine keeps one per
+// chunk) and gives every successor its visited-table key, which must equal
+// pack(next): the engine inserts succ.key and never packs a successor.
+// pack() and apply() are the reference semantics: the engine calls them
+// for the root, for trace replay (which re-checks every replayed key), and
+// to vet a restored checkpoint, and the naive oracle in tests/naive_bfs.h
+// uses nothing else. legal_choice() says whether successors() would
+// generate a choice code; apply() is only called on legal codes.
+// A model may provide packed_bits() — the number of significant low bits
+// of its pack() encoding — which both table backends use to size their
 // keys (models without it fall back to the full 256-bit width). Both
 // TtpcStarModel (the paper's model) and MonitoredModel (the
 // history-augmented variant in mc/monitor.h) satisfy this.
 //
 // Checker is additionally generic over the visited-table storage policy
-// (TableT): util::ConcurrentStateTable (flat, full keys inline) or
-// util::CompactStateTable (Cleary-style quotiented keys, ~0.5x the bytes
-// per state). The backends answer membership identically, so verdicts,
-// statistics, and traces are bit-identical across them; mc::cross_check
+// (TableT): util::ConcurrentStateTable (flat, the key's significant words
+// inline) or util::CompactStateTable (Cleary-style quotiented keys). The
+// backends answer membership identically, so verdicts, statistics, and
+// traces are bit-identical across them; mc::cross_check
 // (engine.h) and the known-answer tests gate that contract.
 //
 // Two query modes:
@@ -101,8 +110,8 @@ const char* to_string(Verdict verdict);
 /// bit-identical verdicts and statistics, so it is excluded from the job
 /// digest like the engine choice itself.
 enum class TableBackend : std::uint8_t {
-  kFlat = 0,     ///< util::ConcurrentStateTable — full 256-bit keys inline
-  kCompact = 1,  ///< util::CompactStateTable — quotiented keys, ~0.5x bytes
+  kFlat = 0,     ///< util::ConcurrentStateTable — key words inline
+  kCompact = 1,  ///< util::CompactStateTable — quotiented keys
 };
 
 const char* to_string(TableBackend backend);
@@ -219,8 +228,9 @@ struct BfsGraph {
   }
 };
 
-/// The model's significant packed width, for key quotienting; models that
-/// do not declare packed_bits() use all 256 bits (always correct).
+/// The model's significant packed width, which sizes both backends' keys
+/// (flat: stored words; compact: quotient); models that do not declare
+/// packed_bits() use all 256 bits (always correct).
 template <class Model>
 unsigned packed_key_bits(const Model& model) {
   if constexpr (requires { model.packed_bits(); }) {
@@ -392,15 +402,17 @@ CheckpointData snapshot_wavefront(const Table& table,
 /// Loads a checkpoint into `table` + `level`. Restore happens in two
 /// passes: inserts assign fresh slots (remembered in insertion order, so
 /// no per-entry re-hash), then parent keys are resolved back into slot
-/// indices. The parent/frontier find()s are genuine hash recomputes and
-/// are counted as such. Returns false softly when there is nothing to
-/// resume — including a file that passed its CRC, binding and mode checks
-/// but does not describe a BFS wavefront (a duplicate key, a parent or
-/// frontier key that is not in the visited set, a depth that does not fit
-/// BfsNode or does not follow its parent's). In that case the table is
-/// left empty, so the caller starts fresh.
-template <class Table>
-bool restore_wavefront(const CheckpointConfig& ckpt,
+/// indices and every non-root entry is replayed once from its parent. The
+/// parent/frontier find()s are genuine hash recomputes and are counted as
+/// such. Returns false softly when there is nothing to resume — including
+/// a file that passed its CRC, binding and mode checks but does not
+/// describe a BFS wavefront (a duplicate key, a parent or frontier key
+/// that is not in the visited set, a depth that does not fit BfsNode or
+/// does not follow its parent's, a choice code that does not lead from
+/// the parent to the entry). In that case the table is left empty, so the
+/// caller starts fresh.
+template <class Model, class Table>
+bool restore_wavefront(const Model& model, const CheckpointConfig& ckpt,
                        CheckpointData::Mode mode, Table& table,
                        std::vector<std::uint32_t>* level,
                        std::uint32_t* start_depth, CheckStats* stats,
@@ -451,6 +463,13 @@ bool restore_wavefront(const CheckpointConfig& ckpt,
     // ends at a root.
     if (parent == Table::kNoSlot ||
         table.value_at(parent).depth + 1u != e.depth) {
+      return reject();
+    }
+    // Trace reconstruction replays this choice and checks the result, so
+    // a code that does not lead parent -> entry is rejected here instead.
+    const typename Model::State before = model.unpack(e.parent);
+    if (!model.legal_choice(before, e.choice) ||
+        model.pack(model.apply(before, e.choice).first) != e.key) {
       return reject();
     }
     table.value_at(slots[i]).parent = parent;
@@ -661,7 +680,7 @@ class Checker {
     std::vector<std::uint32_t> level;
     std::uint32_t start_depth = 0;
     if (ckpt) {
-      detail::restore_wavefront(*ckpt, ckpt_mode, table, &level,
+      detail::restore_wavefront(*model_, *ckpt, ckpt_mode, table, &level,
                                 &start_depth, &result.stats,
                                 growth_headroom_);
     }
@@ -740,6 +759,7 @@ class Checker {
             std::uint64_t my_transitions = 0;
             std::uint64_t my_dedup_skips = 0;
             Hit my_violation, my_goal;
+            std::vector<SuccessorT<State>> succs;
             DedupCache& dd = dedup[chunk];
             dd.reset();
             for (std::size_t i = begin; i < end; ++i) {
@@ -750,13 +770,14 @@ class Checker {
               }
               const std::uint32_t cur_slot = level[i];
               State cur = model_->unpack(table.key_at(cur_slot));
-              for (const auto& succ : model_->successors(cur)) {
+              model_->successors(cur, succs);
+              for (const SuccessorT<State>& succ : succs) {
                 ++my_transitions;
                 if (violation && my_violation.slot == Table::kNoSlot &&
                     (*violation)(cur, succ.next)) {
                   my_violation = Hit{i, cur_slot, succ.choice_code};
                 }
-                util::PackedState packed = model_->pack(succ.next);
+                const util::PackedState& packed = succ.key;
                 // Hash once per successor; the token feeds the dedup
                 // cache's index and the table's probe sequence.
                 const typename Table::Hashed hashed = table.hash(packed);

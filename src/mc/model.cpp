@@ -13,6 +13,53 @@ constexpr unsigned kCounterBits = 4;
 constexpr unsigned kTimeoutBits = 6;
 constexpr unsigned kKindBits = 3;
 constexpr unsigned kOosBits = 3;
+constexpr unsigned kNodeBits = kStateBits + kSlotBits + 2 * kCounterBits + 1 +
+                               kTimeoutBits + 1;
+static_assert(kNodeBits == 25);
+
+/// pack()'s fields of one node, in order.
+void write_node(util::BitWriter& w, const ttpc::NodeState& ns) {
+  w.write(static_cast<std::uint64_t>(ns.state), kStateBits);
+  w.write(ns.slot, kSlotBits);
+  w.write(ns.agreed, kCounterBits);
+  w.write(ns.failed, kCounterBits);
+  w.write_bool(ns.big_bang);
+  w.write(ns.listen_timeout, kTimeoutBits);
+  w.write_bool(ns.ever_integrated);
+}
+
+/// pack()'s fields after the nodes: the couplers, then the oos budget.
+void write_tail(util::BitWriter& w, const WorldState& s, unsigned couplers) {
+  for (std::size_t c = 0; c < couplers; ++c) {
+    w.write(static_cast<std::uint64_t>(s.couplers[c].buffered_frame),
+            kKindBits);
+    w.write(s.couplers[c].buffered_id, kSlotBits);
+  }
+  w.write(s.oos_errors_used, kOosBits);
+}
+
+/// One node's pack() code moved to node i's fixed offset: `lo` belongs in
+/// key word `word`, `hi` (non-zero only when the code straddles a word
+/// boundary) in the word after it, which always exists.
+struct PlacedCode {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  unsigned word = 0;
+};
+static_assert(kMaxNodes * kNodeBits <= 64 * (util::kPackedWords - 1));
+
+PlacedCode place_node(std::size_t i, const ttpc::NodeState& ns) {
+  util::PackedState code;
+  util::BitWriter w(code);
+  write_node(w, ns);
+  const unsigned offset = static_cast<unsigned>(i) * kNodeBits;
+  const unsigned shift = offset % 64;
+  PlacedCode placed;
+  placed.word = offset / 64;
+  placed.lo = code.words[0] << shift;
+  placed.hi = shift + kNodeBits > 64 ? code.words[0] >> (64 - shift) : 0;
+  return placed;
+}
 
 }  // namespace
 
@@ -116,13 +163,46 @@ std::pair<WorldState, TransitionLabel> TtpcStarModel::apply(
   return {next, label};
 }
 
+bool TtpcStarModel::legal_choice(const WorldState& s,
+                                 std::uint32_t choice_code) const {
+  const std::size_t n = num_nodes();
+  if ((choice_code & 0x7) >= fault_pairs_.size()) return false;
+  if ((choice_code >> (3 + 2 * n)) != 0) return false;
+  const FaultPair& pair = fault_pairs_[choice_code & 0x7];
+  if (pair.f0 == guardian::CouplerFault::kOutOfSlot &&
+      !replay_allowed(s, s.couplers[0])) {
+    return false;
+  }
+  if (pair.f1 == guardian::CouplerFault::kOutOfSlot &&
+      !replay_allowed(s, s.couplers[1])) {
+    return false;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (((choice_code >> (3 + 2 * i)) & 0x3) >=
+        controller_.num_choices(s.nodes[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<Successor> TtpcStarModel::successors(const WorldState& s) const {
+  std::vector<Successor> out;
+  successors(s, out);
+  return out;
+}
+
+void TtpcStarModel::successors(const WorldState& s,
+                               std::vector<Successor>& out) const {
   // Same successors, in the same order and with the same choice codes, as
-  // calling apply() on every code below; apply() stays the trace-replay
-  // reference and tests/mc_model_test.cpp holds the two in agreement. The
-  // work is hoisted out of the odometer: transmissions once per state, the
-  // coupler transfers once per fault pair, and each node's step once per
-  // (fault pair, choice).
+  // calling apply() on every code below, and each key equals pack(next);
+  // apply() and pack() stay the references and tests/mc_model_test.cpp
+  // holds the three in agreement. The work is hoisted out of the odometer:
+  // transmissions once per state, the coupler transfers and the coupler
+  // and budget bits once per fault pair, and each node's step and 25-bit
+  // code once per (fault pair, choice), each written at pack()'s fixed
+  // offset. A successor's key is then the fault pair's coupler and budget
+  // bits OR-ed with one node code per node.
   const std::size_t n = num_nodes();
 
   std::array<unsigned, kMaxNodes> counts{};
@@ -138,9 +218,10 @@ std::vector<Successor> TtpcStarModel::successors(const WorldState& s) const {
   const ttpc::ChannelFrame merged =
       guardian::AbstractCoupler::merge_transmissions(sent);
 
-  std::vector<Successor> out;
+  out.clear();
   out.reserve(fault_pairs_.size() * combos);
   std::array<std::array<ttpc::NodeState, kMaxChoices>, kMaxNodes> stepped;
+  std::array<std::array<PlacedCode, kMaxChoices>, kMaxNodes> codes;
   for (std::size_t fp = 0; fp < fault_pairs_.size(); ++fp) {
     const FaultPair& pair = fault_pairs_[fp];
     // State-dependent admissibility of the replay fault.
@@ -153,15 +234,19 @@ std::vector<Successor> TtpcStarModel::successors(const WorldState& s) const {
       continue;
     }
 
-    Successor succ{s, static_cast<std::uint32_t>(fp)};
+    Successor succ{s, static_cast<std::uint32_t>(fp), {}};
     WorldState& next = succ.next;
     const ttpc::ChannelView view = transfer(merged, pair, next);
+    util::PackedState tail;
+    util::BitWriter tail_writer(tail, static_cast<unsigned>(n) * kNodeBits);
+    write_tail(tail_writer, next, config_.num_couplers);
     for (std::size_t i = 0; i < n; ++i) {
       for (unsigned c = 0; c < counts[i]; ++c) {
         stepped[i][c] = controller_
                             .step(s.nodes[i], static_cast<ttpc::NodeId>(i + 1),
                                   view, c)
                             .next;
+        codes[i][c] = place_node(i, stepped[i][c]);
       }
       next.nodes[i] = stepped[i][0];
     }
@@ -170,6 +255,12 @@ std::vector<Successor> TtpcStarModel::successors(const WorldState& s) const {
     // nodes whose digit changed are rewritten.
     std::array<unsigned, kMaxNodes> odo{};
     while (true) {
+      succ.key = tail;
+      for (std::size_t j = 0; j < n; ++j) {
+        const PlacedCode& code = codes[j][odo[j]];
+        succ.key.words[code.word] |= code.lo;
+        succ.key.words[code.word + 1] |= code.hi;
+      }
       out.push_back(succ);
       std::size_t i = 0;
       for (; i < n; ++i) {
@@ -184,37 +275,20 @@ std::vector<Successor> TtpcStarModel::successors(const WorldState& s) const {
       }
     }
   }
-  return out;
 }
 
 util::PackedState TtpcStarModel::pack(const WorldState& s) const {
   util::PackedState p;
   util::BitWriter w(p);
-  for (std::size_t i = 0; i < num_nodes(); ++i) {
-    const ttpc::NodeState& ns = s.nodes[i];
-    w.write(static_cast<std::uint64_t>(ns.state), kStateBits);
-    w.write(ns.slot, kSlotBits);
-    w.write(ns.agreed, kCounterBits);
-    w.write(ns.failed, kCounterBits);
-    w.write_bool(ns.big_bang);
-    w.write(ns.listen_timeout, kTimeoutBits);
-    w.write_bool(ns.ever_integrated);
-  }
-  for (std::size_t c = 0; c < config_.num_couplers; ++c) {
-    w.write(static_cast<std::uint64_t>(s.couplers[c].buffered_frame),
-            kKindBits);
-    w.write(s.couplers[c].buffered_id, kSlotBits);
-  }
-  w.write(s.oos_errors_used, kOosBits);
+  for (std::size_t i = 0; i < num_nodes(); ++i) write_node(w, s.nodes[i]);
+  write_tail(w, s, config_.num_couplers);
   return p;
 }
 
 unsigned TtpcStarModel::packed_bits() const {
-  // Mirrors pack() exactly: per-node fields, two couplers, the oos budget.
-  const unsigned per_node = kStateBits + kSlotBits + kCounterBits +
-                            kCounterBits + 1 + kTimeoutBits + 1;
+  // Mirrors pack() exactly: per-node fields, the couplers, the oos budget.
   const unsigned per_coupler = kKindBits + kSlotBits;
-  return static_cast<unsigned>(num_nodes()) * per_node +
+  return static_cast<unsigned>(num_nodes()) * kNodeBits +
          config_.num_couplers * per_coupler + kOosBits;
 }
 

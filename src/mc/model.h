@@ -79,11 +79,18 @@ struct TransitionLabel {
   std::array<ttpc::StepEvent, kMaxNodes> events{};
 };
 
-/// One enumerated successor; `choice_code` replays the exact transition.
-struct Successor {
-  WorldState next;
+/// One enumerated successor; `choice_code` replays the exact transition
+/// and `key` is the successor's packed visited-table key, always equal to
+/// pack(next). The model builds it alongside `next`, so the checker never
+/// packs a successor itself.
+template <class State>
+struct SuccessorT {
+  State next;
   std::uint32_t choice_code = 0;
+  util::PackedState key;
 };
+
+using Successor = SuccessorT<WorldState>;
 
 class TtpcStarModel {
  public:
@@ -97,14 +104,31 @@ class TtpcStarModel {
   /// "Initially, all the nodes are in the freeze state."
   WorldState initial() const { return WorldState{}; }
 
-  /// All successors of `s` under every legal choice combination.
+  /// All successors of `s` under every legal choice combination, each with
+  /// its packed key, written into `out` (cleared first; the caller keeps
+  /// the buffer so its capacity is reused from state to state).
+  void successors(const WorldState& s, std::vector<Successor>& out) const;
+
+  /// Returning form of successors(), for callers off the BFS hot path
+  /// (tests, benches, the persistent cache's trace replay).
   std::vector<Successor> successors(const WorldState& s) const;
 
   /// Deterministically replays one transition (used for counterexample
-  /// reconstruction). `choice_code` must come from successors().
+  /// reconstruction). `choice_code` must satisfy legal_choice(s, ...).
   std::pair<WorldState, TransitionLabel> apply(const WorldState& s,
                                                std::uint32_t choice_code) const;
 
+  /// Whether successors(s) would generate `choice_code`: an existing fault
+  /// pair that is admissible in `s`, a choice below each node's count, and
+  /// no bits beyond the last node. Lets a checkpoint restore vet a stored
+  /// code before replaying it.
+  bool legal_choice(const WorldState& s, std::uint32_t choice_code) const;
+
+  /// The reference encoding: fields written one after another through a
+  /// util::BitWriter, node i's 25 bits at offset 25 * i, then each
+  /// coupler's 8 bits, then the 3-bit out-of-slot budget. successors()
+  /// builds the same bits at those fixed offsets; pack() stays the simple
+  /// reference that trace replay and the test oracles use.
   util::PackedState pack(const WorldState& s) const;
   WorldState unpack(const util::PackedState& p) const;
 

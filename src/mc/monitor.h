@@ -31,10 +31,7 @@ struct MonitoredState {
                          const MonitoredState&) = default;
 };
 
-struct MonitoredSuccessor {
-  MonitoredState next;
-  std::uint32_t choice_code = 0;
-};
+using MonitoredSuccessor = SuccessorT<MonitoredState>;
 
 class MonitoredModel {
  public:
@@ -47,18 +44,29 @@ class MonitoredModel {
 
   State initial() const { return MonitoredState{inner_.initial(), 0}; }
 
+  /// The inner model's successors, each advanced through the monitor and
+  /// keyed with this model's own pack().
+  void successors(const State& s, std::vector<MonitoredSuccessor>& out) const {
+    out.clear();
+    for (const Successor& succ : inner_.successors(s.base)) {
+      const State next = advance(s, succ.choice_code).first;
+      out.push_back(MonitoredSuccessor{next, succ.choice_code, pack(next)});
+    }
+  }
+
   std::vector<MonitoredSuccessor> successors(const State& s) const {
     std::vector<MonitoredSuccessor> out;
-    for (const Successor& succ : inner_.successors(s.base)) {
-      out.push_back(MonitoredSuccessor{advance(s, succ.choice_code).first,
-                                       succ.choice_code});
-    }
+    successors(s, out);
     return out;
   }
 
   std::pair<State, TransitionLabel> apply(const State& s,
                                           std::uint32_t choice_code) const {
     return advance(s, choice_code);
+  }
+
+  bool legal_choice(const State& s, std::uint32_t choice_code) const {
+    return inner_.legal_choice(s.base, choice_code);
   }
 
   util::PackedState pack(const State& s) const {

@@ -105,6 +105,7 @@ void race_worker(const TtpcStarModel& model, const EngineQuery& query,
   // `open` is a stack for DFS and the current level for BFS.
   std::vector<std::uint32_t> open{0};
   std::vector<std::uint32_t> next_level;
+  std::vector<Successor> succs;
   while (!open.empty()) {
     if (!depth_first) {
       // Shuffled-frontier BFS: randomize this level's expansion order.
@@ -126,7 +127,7 @@ void race_worker(const TtpcStarModel& model, const EngineQuery& query,
       const std::uint32_t cur = open.back();
       open.pop_back();
       const WorldState cur_state = model.unpack(keys[cur]);
-      std::vector<Successor> succs = model.successors(cur_state);
+      model.successors(cur_state, succs);
       if (depth_first) {
         // Randomized DFS: shuffle the successor order so the plunge path
         // (and the pushes below it) decorrelate from the model's choice
@@ -144,11 +145,10 @@ void race_worker(const TtpcStarModel& model, const EngineQuery& query,
           claim(std::move(choices));
           return;
         }
-        const util::PackedState packed = model.pack(succ.next);
         const auto [it, inserted] =
-            seen.emplace(packed, static_cast<std::uint32_t>(keys.size()));
+            seen.emplace(succ.key, static_cast<std::uint32_t>(keys.size()));
         if (!inserted) continue;
-        keys.push_back(packed);
+        keys.push_back(succ.key);
         nodes.push_back(Node{cur, succ.choice_code});
         if (query.kind == EngineQuery::Kind::kFindState &&
             query.goal(succ.next)) {

@@ -36,17 +36,40 @@ struct PackedState {
   std::string to_hex() const;
 };
 
-/// 64-bit mix of all words (splitmix-style avalanche per word).
-std::size_t hash_value(const PackedState& s) noexcept;
+/// 64-bit mix of the first `words` words (splitmix-style avalanche per
+/// word, combined with a rotation), so states that differ in only a few
+/// low bits still land far apart. A table whose keys are zero above some
+/// word hashes only the words below it. Inline: the flat visited table
+/// hashes every generated successor.
+inline std::size_t hash_words(const PackedState& s,
+                              std::size_t words) noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t z = s.words[i] + 0x9e3779b97f4a7c15ull + h;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    h = (h << 7 | h >> 57) ^ z;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+/// 64-bit mix of all words.
+inline std::size_t hash_value(const PackedState& s) noexcept {
+  return hash_words(s, kPackedWords);
+}
 
 /// Sequentially writes bounded unsigned fields into a PackedState.
 class BitWriter {
  public:
-  explicit BitWriter(PackedState& out) : out_(&out) {}
+  /// Writes from bit `pos` on; the bits below it are left as they are,
+  /// so a field group can be placed at its fixed offset on its own.
+  explicit BitWriter(PackedState& out, unsigned pos = 0)
+      : out_(&out), pos_(pos) {}
 
   /// Appends `bits` bits of `value`. Requires value < 2^bits and that the
-  /// total stays within kPackedWords*64 bits. Inline: pack() calls this
-  /// once per field on every generated successor.
+  /// total stays within kPackedWords*64 bits. Inline: successor
+  /// generation writes every node code it builds through it.
   void write(std::uint64_t value, unsigned bits) {
     TTA_DCHECK(bits >= 1 && bits <= 64);
     TTA_DCHECK(bits == 64 || value < (1ull << bits));
@@ -67,7 +90,7 @@ class BitWriter {
 
  private:
   PackedState* out_;
-  unsigned pos_ = 0;
+  unsigned pos_;
 };
 
 /// Sequentially reads fields written by BitWriter, in the same order.

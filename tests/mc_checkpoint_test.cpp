@@ -518,6 +518,7 @@ enum class Inconsistency {
   kMissingFrontierKey,
   kSelfParent,  ///< a parent cycle: trace reconstruction would never end
   kNextDepthOverflow,
+  kWrongChoice,  ///< every non-root choice altered: replay cannot reach it
 };
 
 class InconsistentCheckpointTest
@@ -571,6 +572,11 @@ TEST_P(InconsistentCheckpointTest, RestoreRejectsAndStartsFresh) {
     case Inconsistency::kNextDepthOverflow:
       data.next_depth = UINT16_MAX;
       break;
+    case Inconsistency::kWrongChoice:
+      for (CheckpointEntry& e : data.visited) {
+        if (!(e.flags & CheckpointEntry::kRootFlag)) e.choice ^= 5;
+      }
+      break;
   }
   ASSERT_TRUE(save_checkpoint(cfg, data));
   ASSERT_TRUE(
@@ -595,7 +601,7 @@ std::string inconsistency_name(
     const testing::TestParamInfo<std::tuple<Inconsistency, unsigned>>& info) {
   static const char* const kNames[] = {
       "DuplicateKey", "DanglingParent", "DepthOverflow", "MissingFrontierKey",
-      "SelfParent", "NextDepthOverflow"};
+      "SelfParent", "NextDepthOverflow", "WrongChoice"};
   return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
          "_" + std::to_string(std::get<1>(info.param)) + "threads";
 }
@@ -607,7 +613,8 @@ INSTANTIATE_TEST_SUITE_P(
                                      Inconsistency::kDepthOverflow,
                                      Inconsistency::kMissingFrontierKey,
                                      Inconsistency::kSelfParent,
-                                     Inconsistency::kNextDepthOverflow),
+                                     Inconsistency::kNextDepthOverflow,
+                                     Inconsistency::kWrongChoice),
                      testing::Values(1u, 4u)),
     inconsistency_name);
 

@@ -270,11 +270,13 @@ TEST(Model, SuccessorsAgreeWithApplyOverRandomWalks) {
   // per-(node, choice) work; apply() replays one code from scratch. Every
   // successor must be exactly apply()'s state for its code, and the codes
   // must keep their historical order: fault pair outermost, then an
-  // odometer over the nodes' choices with node 0 changing fastest.
+  // odometer over the nodes' choices with node 0 changing fastest. Every
+  // key must be pack(next); at 6 nodes (169 bits) node codes straddle the
+  // word boundaries at bit 64 (node 2) and bit 128 (node 5).
   util::Rng rng(2004);
   for (guardian::Authority authority : guardian::kAllAuthorities) {
     for (unsigned couplers : {1u, 2u}) {
-      for (std::uint8_t nodes : {3, 4, 5}) {
+      for (std::uint8_t nodes : {3, 4, 5, 6}) {
         for (unsigned max_oos : {1u, 7u}) {
           ModelConfig cfg;
           cfg.authority = authority;
@@ -324,11 +326,43 @@ TEST(Model, SuccessorsAgreeWithApplyOverRandomWalks) {
                 ASSERT_EQ(succs[k].next,
                           model.apply(s, succs[k].choice_code).first)
                     << where << " k=" << k;
+                ASSERT_EQ(succs[k].key, model.pack(succs[k].next))
+                    << where << " k=" << k;
               }
               s = succs[rng.next_below(succs.size())].next;
             }
           }
         }
+      }
+    }
+  }
+}
+
+TEST(Model, LegalChoiceIsExactlyTheGeneratedCodes) {
+  // A checkpoint restore vets stored codes with legal_choice() before
+  // replaying them, so it must accept every code successors() generates
+  // and nothing else: no missing or inadmissible fault pair, no choice at
+  // or past a node's count, no bits past the last node.
+  util::Rng rng(17);
+  for (guardian::Authority authority : guardian::kAllAuthorities) {
+    for (unsigned couplers : {1u, 2u}) {
+      ModelConfig cfg;
+      cfg.authority = authority;
+      cfg.num_couplers = couplers;
+      cfg.max_out_of_slot_errors = 1;
+      TtpcStarModel model(cfg);
+      const std::uint32_t codes = 1u << (3 + 2 * model.num_nodes() + 1);
+      WorldState s = model.initial();
+      for (int step = 0; step < 40; ++step) {
+        const std::vector<Successor> succs = model.successors(s);
+        std::vector<bool> generated(codes, false);
+        for (const Successor& succ : succs) generated[succ.choice_code] = true;
+        for (std::uint32_t code = 0; code < codes; ++code) {
+          ASSERT_EQ(model.legal_choice(s, code), generated[code])
+              << guardian::to_string(authority) << " couplers=" << couplers
+              << " step=" << step << " code=" << code;
+        }
+        s = succs[rng.next_below(succs.size())].next;
       }
     }
   }

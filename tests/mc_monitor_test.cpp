@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "mc/trace_printer.h"
+#include "util/rng.h"
 
 namespace tta::mc {
 namespace {
@@ -45,6 +46,27 @@ TEST(MonitoredModel, SuccessorsMirrorInnerModel) {
     EXPECT_EQ(mon_succs[i].next.base, inner_succs[i].next);
     EXPECT_EQ(mon_succs[i].choice_code, inner_succs[i].choice_code);
   }
+}
+
+TEST(MonitoredModel, SuccessorKeysArePack) {
+  // The engine inserts succ.key without packing; for the monitored model
+  // it must be the monitored pack(), monitor bits included.
+  MonitoredModel model(paper_trace1_config());
+  util::Rng rng(17);
+  bool saw_monitor_bit = false;
+  for (int walk = 0; walk < 8; ++walk) {
+    MonitoredState s = model.initial();
+    for (int step = 0; step < 40; ++step) {
+      const auto succs = model.successors(s);
+      ASSERT_FALSE(succs.empty());
+      for (const MonitoredSuccessor& succ : succs) {
+        ASSERT_EQ(succ.key, model.pack(succ.next));
+        saw_monitor_bit |= succ.next.integrated_on_replay != 0;
+      }
+      s = succs[rng.next_below(succs.size())].next;
+    }
+  }
+  EXPECT_TRUE(saw_monitor_bit);
 }
 
 TEST(MonitoredModel, PaperTraceOneShapeIsReachable) {
